@@ -4,7 +4,7 @@ GO ?= go
 FUZZTIME ?= 30s
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build vet test race bench bench-json bench-batch bench-check bench-store check fmtcheck lint-metrics experiments fuzz serve-smoke fleet-smoke store-smoke clean
+.PHONY: all build vet test race fleet-stress bench bench-json bench-batch bench-check bench-store check fmtcheck lint-metrics experiments fuzz serve-smoke fleet-smoke store-smoke clean
 
 all: build vet test
 
@@ -20,6 +20,13 @@ test:
 race:
 	$(GO) test -race ./...
 
+# fleet-stress repeats the fleet tests 20 times, plain and under -race.
+# Router tests race a background health prober against their requests;
+# a single pass can pass by luck where twenty do not.
+fleet-stress:
+	$(GO) test -count=20 ./internal/fleet
+	$(GO) test -race -count=20 ./internal/fleet
+
 fmtcheck:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -33,8 +40,8 @@ lint-metrics:
 	sh scripts/metric_lint.sh
 
 # check is the local all-in-one gate: formatting, metric-name lint,
-# vet, build, the plain test suite, the race-enabled test suite, and the
-# fleet smoke. The plain run matters:
+# vet, build, the plain test suite, the race-enabled test suite, the
+# repeated fleet tests, and the fleet and store smokes. The plain run matters:
 # the allocation-regression gates (testing.AllocsPerRun in
 # internal/coverage) skip themselves under -race, so only a non-race
 # pass enforces the zero-allocs-per-Evaluate promise. CI splits the same
@@ -42,7 +49,7 @@ lint-metrics:
 # fast-fail gate, an {ubuntu, macos} x {oldest Go, stable} build+test
 # matrix, a dedicated -race job, serving smokes, and a
 # benchmark-regression job.
-check: fmtcheck lint-metrics vet build test race fleet-smoke store-smoke
+check: fmtcheck lint-metrics vet build test race fleet-stress fleet-smoke store-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -74,7 +74,7 @@ func run() error {
 		execute   = flag.Bool("execute", false, "execute the ordered plans against a simulated world")
 		physical  = flag.Bool("physical", false, "run plans through the physical optimizer (join order + access methods)")
 		seed      = flag.Int64("seed", 1, "seed for the simulated world (-execute)")
-		stats     = flag.Bool("stats", false, "report phase spans and pipeline counters to stderr on exit")
+		stats     = flag.Bool("stats", false, "report phase timing histograms and pipeline counters to stderr on exit")
 		plansOnly = flag.Bool("plans-only", false, "print only the ordered plan queries, one per line (for diffing against qpload -print-plans)")
 		explain   = flag.Bool("explain", false, "print per-plan ordering provenance after the plan list")
 		traceOut  = flag.String("trace", "", "write the run's trace (spans + provenance) as NDJSON to this file")
@@ -126,7 +126,6 @@ func run() error {
 	if *stats {
 		reg = obs.NewRegistry()
 	}
-	tr := reg.Tracer()
 	// The request trace doubles as the provenance recorder for -explain
 	// and as the exported span tree for -trace; nil (the default) keeps
 	// the ordering hot path allocation-identical to an untraced run.
@@ -138,15 +137,15 @@ func run() error {
 		rt.SetAttr("measure", *meas)
 	}
 
-	refSpan := obs.StartSpan(tr, "qporder/reformulate")
-	refTSpan := rt.StartSpan("qporder/reformulate")
+	// Each phase reads the clock once; the duration feeds the phase's
+	// -stats histogram and, with -explain or -trace, the trace's span.
+	start := time.Now()
 	buckets, err := reformulate.BuildBuckets(q, dom.Catalog)
 	if err != nil {
 		return err
 	}
 	pd := reformulate.NewPlanDomain(buckets, dom.Catalog)
-	refTSpan.End()
-	refSpan.End()
+	rt.ObservePhase("qporder/reformulate", start, reg.Histogram("qporder.reformulate_ns"))
 	if !*plansOnly {
 		fmt.Printf("plan space: %d candidate plans\n", pd.Space.Size())
 	}
@@ -181,13 +180,12 @@ func run() error {
 		}
 	}
 
+	orderNs, execNs := reg.Histogram("qporder.order_ns"), reg.Histogram("qporder.execute_ns")
 	produced := 0
 	for produced < *k {
-		ordSpan := obs.StartSpan(tr, "qporder/order")
-		ordTSpan := rt.StartSpan("qporder/order")
+		start := time.Now()
 		plan, pq, utility, ok, err := pd.SoundNext(o)
-		ordTSpan.End()
-		ordSpan.End()
+		rt.ObservePhase("qporder/order", start, orderNs)
 		if err != nil {
 			return err
 		}
@@ -212,17 +210,13 @@ func run() error {
 		if engine != nil {
 			costBefore := engine.Cost
 			execStart := time.Now()
-			execSpan := obs.StartSpan(tr, "qporder/execute")
-			execTSpan := rt.StartSpan("qporder/execute")
 			var out []schema.Atom
 			if pp != nil {
 				out, err = engine.ExecutePhysical(pp)
 			} else {
 				out, err = engine.ExecutePlan(pq)
 			}
-			execTSpan.End()
-			execSpan.End()
-			execWall := time.Since(execStart)
+			execWall := rt.ObservePhase("qporder/execute", execStart, execNs)
 			if err != nil {
 				return err
 			}

@@ -37,7 +37,7 @@ func (e *Exhaustive) Context() measure.Context { return e.ctx }
 // Instrument implements Instrumented.
 func (e *Exhaustive) Instrument(reg *obs.Registry) {
 	e.c = newCounters(reg, "exhaustive")
-	e.c.prov = e.trace.provPtr()
+	e.c.bindTrace(&e.trace)
 	bindContext(e.ctx, reg, "exhaustive")
 	e.par.bind(reg)
 }
@@ -45,7 +45,7 @@ func (e *Exhaustive) Instrument(reg *obs.Registry) {
 // SetTrace implements Traced.
 func (e *Exhaustive) SetTrace(tr *obs.Trace) {
 	e.trace.set(tr, e.ctx)
-	e.c.prov = e.trace.provPtr()
+	e.c.bindTrace(&e.trace)
 }
 
 // Parallelism implements Parallel.

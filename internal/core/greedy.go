@@ -108,7 +108,7 @@ func (g *Greedy) Context() measure.Context { return g.ctx }
 // Instrument implements Instrumented.
 func (g *Greedy) Instrument(reg *obs.Registry) {
 	g.c = newCounters(reg, "greedy")
-	g.c.prov = g.trace.provPtr()
+	g.c.bindTrace(&g.trace)
 	bindContext(g.ctx, reg, "greedy")
 	g.par.bind(reg)
 }
@@ -116,7 +116,7 @@ func (g *Greedy) Instrument(reg *obs.Registry) {
 // SetTrace implements Traced.
 func (g *Greedy) SetTrace(tr *obs.Trace) {
 	g.trace.set(tr, g.ctx)
-	g.c.prov = g.trace.provPtr()
+	g.c.bindTrace(&g.trace)
 }
 
 // Parallelism implements Parallel. Greedy's per-Next work is one

@@ -35,7 +35,7 @@ func (d *IDrips) Context() measure.Context { return d.ctx }
 // Instrument implements Instrumented.
 func (d *IDrips) Instrument(reg *obs.Registry) {
 	d.c = newCounters(reg, "idrips")
-	d.c.prov = d.trace.provPtr()
+	d.c.bindTrace(&d.trace)
 	bindContext(d.ctx, reg, "idrips")
 	d.par.bind(reg)
 }
@@ -43,7 +43,7 @@ func (d *IDrips) Instrument(reg *obs.Registry) {
 // SetTrace implements Traced.
 func (d *IDrips) SetTrace(tr *obs.Trace) {
 	d.trace.set(tr, d.ctx)
-	d.c.prov = d.trace.provPtr()
+	d.c.bindTrace(&d.trace)
 }
 
 // Parallelism implements Parallel: candidate evaluation and dominance

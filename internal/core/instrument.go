@@ -40,6 +40,9 @@ func Instrument(o Orderer, reg *obs.Registry) {
 //	core.<algo>.next_exhausted  — Next() calls that returned ok=false;
 //	core.<algo>.next_ns         — per-Next() latency, the "delay" of
 //	    ranked-enumeration work (time between consecutive outputs).
+//
+// The same per-Next clock read also becomes a NextSpan span on the
+// bound request trace, so a mediator's order phase is timed once.
 type counters struct {
 	domTests  *obs.Counter
 	refines   *obs.Counter
@@ -52,7 +55,13 @@ type counters struct {
 	// pointer because counters travels by value into dripsBest while
 	// the deltas must land in the orderer's single accumulator.
 	prov *provCounts
+	// tr is the bound request trace (see traceState), nil when none.
+	tr *obs.Trace
 }
+
+// NextSpan names the span each Next call records on a bound request
+// trace.
+const NextSpan = "core/next"
 
 // domTest records one interval dominance test and whether the incumbent
 // won it (the tested plan was pruned).
@@ -101,20 +110,29 @@ func newCounters(reg *obs.Registry, algo string) counters {
 	}
 }
 
+// bindTrace points the counters at the orderer's trace state: the
+// provenance sink and the request trace Next spans land on.
+func (c *counters) bindTrace(t *traceState) {
+	c.prov = t.provPtr()
+	c.tr = t.tr
+}
+
 // startNext begins timing one Next call; it returns the zero time when
-// latency tracking is disabled so endNext can skip the clock read.
+// neither the latency histogram nor a trace is bound, so endNext can
+// skip the clock read.
 func (c *counters) startNext() time.Time {
 	c.nextCalls.Inc()
-	if c.nextNs == nil {
+	if c.nextNs == nil && c.tr == nil {
 		return time.Time{}
 	}
 	return time.Now()
 }
 
-// endNext records the per-Next latency begun by startNext.
+// endNext records the Next call begun by startNext: one duration feeds
+// the latency histogram and the trace span.
 func (c *counters) endNext(start time.Time) {
 	if !start.IsZero() {
-		c.nextNs.ObserveSince(start)
+		c.tr.ObservePhase(NextSpan, start, c.nextNs)
 	}
 }
 

@@ -96,7 +96,7 @@ func (pi *PI) Context() measure.Context { return pi.ctx }
 // Instrument implements Instrumented.
 func (pi *PI) Instrument(reg *obs.Registry) {
 	pi.c = newCounters(reg, "pi")
-	pi.c.prov = pi.trace.provPtr()
+	pi.c.bindTrace(&pi.trace)
 	bindContext(pi.ctx, reg, "pi")
 	pi.par.bind(reg)
 }
@@ -104,7 +104,7 @@ func (pi *PI) Instrument(reg *obs.Registry) {
 // SetTrace implements Traced.
 func (pi *PI) SetTrace(tr *obs.Trace) {
 	pi.trace.set(tr, pi.ctx)
-	pi.c.prov = pi.trace.provPtr()
+	pi.c.bindTrace(&pi.trace)
 }
 
 // Parallelism implements Parallel.

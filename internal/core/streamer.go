@@ -112,7 +112,7 @@ func (s *Streamer) Context() measure.Context { return s.ctx }
 // Instrument implements Instrumented.
 func (s *Streamer) Instrument(reg *obs.Registry) {
 	s.c = newCounters(reg, "streamer")
-	s.c.prov = s.trace.provPtr()
+	s.c.bindTrace(&s.trace)
 	bindContext(s.ctx, reg, "streamer")
 	s.par.bind(reg)
 }
@@ -120,7 +120,7 @@ func (s *Streamer) Instrument(reg *obs.Registry) {
 // SetTrace implements Traced.
 func (s *Streamer) SetTrace(tr *obs.Trace) {
 	s.trace.set(tr, s.ctx)
-	s.c.prov = s.trace.provPtr()
+	s.c.bindTrace(&s.trace)
 }
 
 // Parallelism implements Parallel: utility recomputation after an output,

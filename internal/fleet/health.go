@@ -39,7 +39,16 @@ type prober struct {
 
 	stop chan struct{}
 	done chan struct{}
+	// hold, when non-nil, delays the first probe until it is closed
+	// (see holdFirstProbe).
+	hold chan struct{}
 }
+
+// holdFirstProbe is a test hook: a prober built while it is non-nil
+// waits for it to close before its first probe, so a test can exercise
+// the optimistic all-up starting ring deterministically. Production
+// code never sets it.
+var holdFirstProbe chan struct{}
 
 // newProber builds the prober over the configured shard URLs; every
 // shard starts up (optimistically — the first probe runs immediately and
@@ -53,6 +62,7 @@ func newProber(urls []string, replicas int, client *http.Client, interval, timeo
 		onFlip:   onFlip,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
+		hold:     holdFirstProbe,
 	}
 	for _, u := range urls {
 		p.shards = append(p.shards, &shardState{url: u, up: true})
@@ -65,6 +75,13 @@ func newProber(urls []string, replicas int, client *http.Client, interval, timeo
 // run is the probe loop; call in a goroutine, stop with close().
 func (p *prober) run() {
 	defer close(p.done)
+	if p.hold != nil {
+		select {
+		case <-p.hold:
+		case <-p.stop:
+			return
+		}
+	}
 	p.probeAll()
 	t := time.NewTicker(p.interval)
 	defer t.Stop()

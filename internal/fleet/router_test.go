@@ -161,7 +161,14 @@ func TestProxyRetryFlakyShard(t *testing.T) {
 	dead.Close()
 
 	all := append([]string{deadURL}, shards...)
+	// Hold back the prober's first probe: otherwise it can mark the dead
+	// shard down before the request below, and the ring would route
+	// around it without the retry this test is about.
+	hold := make(chan struct{})
+	holdFirstProbe = hold
 	rt, url := startRouter(t, all, nil)
+	holdFirstProbe = nil
+	defer close(hold)
 
 	// Find a query whose ring owner is the dead shard, so the proxy path
 	// must actually retry (the ring starts optimistically all-up).

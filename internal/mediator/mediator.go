@@ -121,11 +121,12 @@ type Config struct {
 	// answers it contributed — the streaming hook the serving layer uses
 	// to push results to clients as they are produced.
 	OnPlan func(PlanEvent)
-	// Obs, when non-nil, receives phase spans (mediator/reformulate,
-	// mediator/order, mediator/soundness, mediator/execute,
-	// mediator/reorder), the orderer's per-algorithm work counters, and
-	// the run-level gauges and counters. Nil disables instrumentation at
-	// zero cost.
+	// Obs, when non-nil, receives the per-phase timing histograms
+	// (mediator.reformulate_ns, mediator.build_orderer_ns,
+	// core.<algo>.next_ns for the order phase, mediator.soundness_ns,
+	// mediator.execute_ns, mediator.reorder_ns), the orderer's
+	// per-algorithm work counters, and the run-level gauges and
+	// counters. Nil disables instrumentation at zero cost.
 	Obs *obs.Registry
 	// Calib, when non-nil, accumulates estimator-calibration series: the
 	// engine pairs each unconstrained source access's Tuples estimate
@@ -240,6 +241,32 @@ type System struct {
 	// plans, so later Run calls never poke a spent orderer again. Stashed
 	// plans may still be pending when it latches.
 	exhausted bool
+
+	ins instruments
+}
+
+// instruments are the registry instruments a System records into,
+// resolved once in New so that no phase takes the registry's lock. With
+// a nil registry every field is nil, hence a no-op.
+type instruments struct {
+	reformulate, build            *obs.Histogram
+	soundness, execute, reorder   *obs.Histogram
+	executed, answersNew, unsound *obs.Counter
+	ttfa                          *obs.Gauge
+}
+
+func newInstruments(reg *obs.Registry) instruments {
+	return instruments{
+		reformulate: reg.Histogram("mediator.reformulate_ns"),
+		build:       reg.Histogram("mediator.build_orderer_ns"),
+		soundness:   reg.Histogram("mediator.soundness_ns"),
+		execute:     reg.Histogram("mediator.execute_ns"),
+		reorder:     reg.Histogram("mediator.reorder_ns"),
+		executed:    reg.Counter("mediator.plans_executed"),
+		answersNew:  reg.Counter("mediator.answers_new"),
+		unsound:     reg.Counter("mediator.unsound_plans_skipped"),
+		ttfa:        reg.Gauge("mediator.time_to_first_answer_ns"),
+	}
 }
 
 // planSource abstracts over the reformulators.
@@ -358,15 +385,15 @@ func New(cfg Config) (*System, error) {
 	if cfg.PhysN == 0 {
 		cfg.PhysN = 50000
 	}
-	tr := cfg.Obs.Tracer()
+	ins := newInstruments(cfg.Obs)
 
 	var src planSource
 	if cfg.Prepared != nil {
 		src = cfg.Prepared.src
 	} else {
-		reformSpan := obs.StartSpan(tr, "mediator/reformulate")
+		start := time.Now()
 		prep, err := Prepare(cfg.Query, cfg.Catalog, cfg.Reformulator)
-		reformSpan.End()
+		ins.reformulate.ObserveSince(start)
 		if err != nil {
 			return nil, err
 		}
@@ -403,16 +430,16 @@ func New(cfg Config) (*System, error) {
 			return nil, fmt.Errorf("mediator: adaptive re-ordering cannot be combined with plan-space sharding")
 		}
 	}
-	s := &System{cfg: cfg, src: src, algo: algo, heur: heur, measName: m.Name()}
+	s := &System{cfg: cfg, src: src, algo: algo, heur: heur, measName: m.Name(), ins: ins}
 	if cfg.Adaptive {
 		s.tracker = adaptive.NewTracker(cfg.Catalog)
 		if cfg.DriftFactor > 0 {
 			s.tracker.DriftFactor = cfg.DriftFactor
 		}
 	}
-	buildSpan := obs.StartSpan(tr, "mediator/build-orderer")
+	start := time.Now()
 	o, err := s.buildOrderer(m, src.spaces())
-	buildSpan.End()
+	ins.build.ObserveSince(start)
 	if err != nil {
 		return nil, err
 	}
@@ -448,8 +475,7 @@ func (s *System) buildOrderer(m measure.Measure, spaces []*planspace.Space) (cor
 // replayed into the fresh measure context so conditional utilities stay
 // correct.
 func (s *System) reorder() error {
-	defer obs.StartSpan(s.cfg.Obs.Tracer(), "mediator/reorder").End()
-	defer s.trace.StartSpan("mediator/reorder").End()
+	defer s.trace.ObservePhase("mediator/reorder", time.Now(), s.ins.reorder)
 	s.trace.Event("adaptive/reorder", "statistics drift triggered re-ordering")
 	revised, err := s.tracker.Revise()
 	if err != nil {
@@ -515,15 +541,12 @@ type sound struct {
 	interrupted bool
 }
 
-// nextSound pulls the orderer until a sound plan appears.
+// nextSound pulls the orderer until a sound plan appears. The order
+// phase is timed by the orderer itself: its one clock read per Next
+// feeds core.<algo>.next_ns and the request trace's core.NextSpan.
 func (s *System) nextSound() sound {
-	tr := s.cfg.Obs.Tracer()
 	for {
-		orderSpan := obs.StartSpan(tr, "mediator/order")
-		orderTSpan := s.trace.StartSpan("mediator/order")
 		p, u, ok := s.orderer.Next()
-		orderTSpan.End()
-		orderSpan.End()
 		if !ok {
 			return sound{}
 		}
@@ -531,18 +554,16 @@ func (s *System) nextSound() sound {
 		if err != nil {
 			continue // unsafe: cannot be sound
 		}
-		soundSpan := obs.StartSpan(tr, "mediator/soundness")
-		soundTSpan := s.trace.StartSpan("mediator/soundness")
+		start := time.Now()
 		isSound, err := s.src.isSound(p)
-		soundTSpan.End()
-		soundSpan.End()
+		s.trace.ObservePhase("mediator/soundness", start, s.ins.soundness)
 		if err != nil {
 			return sound{err: err}
 		}
 		if isSound {
 			return sound{plan: p, pq: pq, util: u, ok: true}
 		}
-		s.cfg.Obs.Counter("mediator.unsound_plans_skipped").Inc()
+		s.ins.unsound.Inc()
 	}
 }
 
@@ -635,22 +656,18 @@ func (s *System) RunContext(ctx context.Context, engine *execsim.Engine, budget 
 		}
 		costBefore := engine.Cost
 		execStart := time.Now()
-		execSpan := obs.StartSpan(s.cfg.Obs.Tracer(), "mediator/execute")
-		execTSpan := s.trace.StartSpan("mediator/execute")
 		out, err := s.execute(engine, sp.pq)
-		execTSpan.End()
-		execSpan.End()
-		execWall := time.Since(execStart)
+		execWall := s.trace.ObservePhase("mediator/execute", execStart, s.ins.execute)
 		if err != nil {
 			return nil, err
 		}
 		before := res.Answers.Len()
 		fresh := res.Answers.Add(out)
-		s.cfg.Obs.Counter("mediator.plans_executed").Inc()
-		s.cfg.Obs.Counter("mediator.answers_new").Add(int64(fresh))
+		s.ins.executed.Inc()
+		s.ins.answersNew.Add(int64(fresh))
 		if fresh > 0 && firstAnswerAt < 0 {
 			firstAnswerAt = time.Since(runStart)
-			s.cfg.Obs.Gauge("mediator.time_to_first_answer_ns").Set(float64(firstAnswerAt))
+			s.ins.ttfa.Set(float64(firstAnswerAt))
 		}
 		s.executed = append(s.executed, sp.plan)
 		res.Executed = append(res.Executed, sp.pq)

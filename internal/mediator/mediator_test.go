@@ -1,9 +1,11 @@
 package mediator
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"qporder/internal/core"
 	"qporder/internal/costmodel"
 	"qporder/internal/execsim"
 	"qporder/internal/lav"
@@ -254,8 +256,8 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestObservedRun checks the Config.Obs wiring: phase spans and pipeline
-// counters populate, the time-to-first-answer gauge is set, and a Run
+// TestObservedRun checks the Config.Obs wiring: phase histograms and
+// pipeline counters populate, the time-to-first-answer gauge is set, and a Run
 // after exhaustion neither calls Next again nor executes more plans.
 func TestObservedRun(t *testing.T) {
 	cfg, eng, _ := fixture(t)
@@ -284,16 +286,18 @@ func TestObservedRun(t *testing.T) {
 		t.Error("execsim.source_calls = 0")
 	}
 
-	spans := map[string]bool{}
-	for _, st := range reg.Tracer().Stats() {
-		spans[st.Name] = true
+	// Per-phase aggregates are registry histograms: execute runs once
+	// per executed plan, and every phase of the run was timed.
+	hists := reg.Snapshot().Histograms
+	if got := hists["mediator.execute_ns"].Count; got != executed {
+		t.Errorf("mediator.execute_ns count = %d, want plans_executed = %d", got, executed)
 	}
 	for _, name := range []string{
-		"mediator/reformulate", "mediator/build-orderer",
-		"mediator/order", "mediator/soundness", "mediator/execute",
+		"mediator.reformulate_ns", "mediator.build_orderer_ns",
+		"core." + string(sys.algo) + ".next_ns", "mediator.soundness_ns", "mediator.execute_ns",
 	} {
-		if !spans[name] {
-			t.Errorf("span %q missing (have %v)", name, spans)
+		if hists[name].Count <= 0 {
+			t.Errorf("phase histogram %q empty (have %v)", name, hists)
 		}
 	}
 
@@ -315,5 +319,49 @@ func TestObservedRun(t *testing.T) {
 	}
 	if res2.Stopped != StopExhausted || len(res2.Executed) != 0 {
 		t.Errorf("post-exhaustion Run: stopped=%s executed=%d", res2.Stopped, len(res2.Executed))
+	}
+}
+
+// TestTracedPhasesShareOneClock runs one traced request and checks that
+// each phase's trace spans sum exactly to its histogram's sum: the span
+// and the histogram are fed from the same clock read, not timed twice.
+func TestTracedPhasesShareOneClock(t *testing.T) {
+	cfg, eng, _ := fixture(t)
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("request")
+	res, err := sys.RunContext(obs.WithTrace(context.Background(), tr), eng, Budget{MaxPlans: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Executed) == 0 {
+		t.Fatal("no plans executed")
+	}
+	spanSum := map[string]int64{}
+	spanCount := map[string]int64{}
+	for _, sp := range tr.Finish().Spans {
+		spanSum[sp.Name] += sp.DurNS
+		spanCount[sp.Name]++
+	}
+	hists := reg.Snapshot().Histograms
+	for span, hist := range map[string]string{
+		"mediator/execute":   "mediator.execute_ns",
+		"mediator/soundness": "mediator.soundness_ns",
+		core.NextSpan:        "core." + string(sys.algo) + ".next_ns",
+	} {
+		h := hists[hist]
+		if spanCount[span] == 0 || spanCount[span] != h.Count {
+			t.Errorf("%s: %d spans, %s count %d", span, spanCount[span], hist, h.Count)
+		}
+		if spanSum[span] != h.Sum {
+			t.Errorf("%s spans sum to %d ns, %s sum is %d ns", span, spanSum[span], hist, h.Sum)
+		}
+	}
+	if got := hists["mediator.execute_ns"].Count; got != int64(len(res.Executed)) {
+		t.Errorf("mediator.execute_ns count = %d, want %d executed plans", got, len(res.Executed))
 	}
 }

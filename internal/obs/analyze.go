@@ -95,35 +95,6 @@ type TraceReport struct {
 	Calibration        *CalibrationSnapshot `json:"calibration,omitempty"`
 }
 
-// criticalPath walks the span tree of one trace from its root and
-// returns the chain of span names maximizing summed duration, plus the
-// duration of the chain's leaf.
-func criticalPath(t TraceSnapshot) (string, int64) {
-	children := make(map[SpanID][]SpanRecord, len(t.Spans))
-	for _, s := range t.Spans {
-		if s.ID == t.RootSpan {
-			continue
-		}
-		children[s.Parent] = append(children[s.Parent], s)
-	}
-	var names []string
-	cur, curDur := t.RootSpan, t.DurNS
-	for {
-		kids := children[cur]
-		if len(kids) == 0 {
-			return strings.Join(names, " > "), curDur
-		}
-		best := kids[0]
-		for _, k := range kids[1:] {
-			if k.DurNS > best.DurNS || (k.DurNS == best.DurNS && k.StartNS < best.StartNS) {
-				best = k
-			}
-		}
-		names = append(names, best.Name)
-		cur, curDur = best.ID, best.DurNS
-	}
-}
-
 // AnalyzeTraces aggregates the traces into a report keeping the top
 // `top` spans and slowest requests (top <= 0 keeps 10).
 func AnalyzeTraces(ts []TraceSnapshot, top int) TraceReport {
@@ -162,7 +133,7 @@ func AnalyzeTraces(ts []TraceSnapshot, top int) TraceReport {
 			rep.Splits += p.Splits
 			rep.Evals += p.Evals
 		}
-		path, leafNS := criticalPath(t)
+		path, leafNS := chainPath(criticalChain(t.RootSpan, t.DurNS, t.Name, t.Spans))
 		sums = append(sums, RequestSummary{
 			TraceID: t.TraceID, Name: t.Name, Status: t.Status, DurNS: t.DurNS,
 			Spans: len(t.Spans), Plans: len(t.Plans),

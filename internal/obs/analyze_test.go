@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 )
 
 // ndjson marshals snapshots one per line, blank line between them, the
@@ -114,6 +115,31 @@ func TestAnalyzeTraces(t *testing.T) {
 	}
 	if rep.Slowest[0].CriticalNS != 50 {
 		t.Fatalf("critical leaf = %d, want 50", rep.Slowest[0].CriticalNS)
+	}
+}
+
+// TestAnalyzeTracesParentCycle: a malformed export whose duplicate span
+// ID links a span back to its own ancestor must not hang the critical
+// path walk; the walk stops at the first revisited span.
+func TestAnalyzeTracesParentCycle(t *testing.T) {
+	var rootID SpanID
+	rootID[7] = 9
+	a := span(1, rootID, "a", 30)
+	b := span(2, a.ID, "b", 20)
+	dup := span(1, b.ID, "a-again", 10) // reuses a's ID: a > b > a > ...
+	trace := TraceSnapshot{
+		TraceID: TraceID{15: 1}, RootSpan: rootID, Name: "req", Status: "ok", DurNS: 100,
+		Spans: []SpanRecord{{ID: rootID, Name: "req", DurNS: 100}, a, b, dup},
+	}
+	done := make(chan TraceReport, 1)
+	go func() { done <- AnalyzeTraces([]TraceSnapshot{trace}, 10) }()
+	select {
+	case rep := <-done:
+		if got := rep.Slowest[0].CriticalPath; got != "a > b" {
+			t.Fatalf("critical path = %q, want \"a > b\"", got)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("AnalyzeTraces did not return on a parent cycle")
 	}
 }
 

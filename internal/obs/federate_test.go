@@ -43,14 +43,16 @@ func TestParseOpenMetricsRoundTrip(t *testing.T) {
 	if lat.Type != "summary" {
 		t.Fatalf("latency type = %q", lat.Type)
 	}
-	var quantiles int
+	var quantiles []string
 	for _, s := range lat.Samples {
 		if strings.Contains(s.Labels, "quantile=") {
-			quantiles++
+			quantiles = append(quantiles, s.Labels)
 		}
 	}
-	if quantiles != 4 { // p50, p95, p99, p99.9
-		t.Fatalf("latency quantile samples = %d, want 4", quantiles)
+	// min, p50, p95, p99, p99.9, max
+	want := `quantile="0" quantile="0.5" quantile="0.95" quantile="0.99" quantile="0.999" quantile="1"`
+	if got := strings.Join(quantiles, " "); got != want {
+		t.Fatalf("latency quantile samples = %s, want %s", got, want)
 	}
 }
 

@@ -1,13 +1,21 @@
 // Package obs is the zero-dependency observability layer of the
-// pipeline: atomic counters, gauges, and histograms; span tracing with
-// nested spans and a bounded event log; and a Registry aggregating both
-// with text, JSON, and expvar-compatible rendering.
+// pipeline. It has one span model and one metrics registry:
+//
+//   - a Registry of atomic counters, gauges, and histograms, rendered as
+//     JSON, OpenMetrics, and a text view of the same snapshot;
+//   - a request-scoped Trace (trace.go): W3C-identified nested spans, a
+//     bounded event log, and per-plan provenance.
+//
+// Per-phase aggregates (count, sum, min, max) are registry histograms;
+// Trace.ObservePhase times a phase once and feeds both the histogram and
+// the request's span.
 //
 // Every public method is nil-safe: a nil *Registry hands out nil
-// instruments, and a nil *Counter, *Gauge, *Histogram, *Tracer, or *Span
-// is a no-op. Hot paths therefore instrument unconditionally — when
-// observability is disabled the calls reduce to a nil check and cost no
-// allocations (see BenchmarkOrdererObs in the repository root).
+// instruments, and a nil *Counter, *Gauge, *Histogram, *Trace, or
+// *TraceSpan is a no-op. Hot paths therefore instrument unconditionally
+// — when observability is disabled the calls reduce to a nil check and
+// cost no allocations (see BenchmarkInstrumentation* in the repository
+// root).
 package obs
 
 import (

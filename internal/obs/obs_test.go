@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -87,69 +88,35 @@ func TestBucketIndexBounds(t *testing.T) {
 	}
 }
 
-func TestSpans(t *testing.T) {
-	tr := NewTracer(4)
-	root := StartSpan(tr, "order")
-	child := root.StartSpan("soundness")
-	child.Annotate("checking plan")
-	if d := child.End(); d < 0 {
-		t.Fatalf("child duration negative: %v", d)
-	}
-	if d := child.End(); d != 0 {
-		t.Fatalf("second End = %v, want 0", d)
-	}
-	root.End()
-	tr.Event("note", "free-standing")
-
-	stats := tr.Stats()
-	if len(stats) != 2 {
-		t.Fatalf("Stats has %d paths, want 2: %+v", len(stats), stats)
-	}
-	if stats[0].Name != "order" || stats[1].Name != "order/soundness" {
-		t.Fatalf("span paths = %q, %q", stats[0].Name, stats[1].Name)
-	}
-	if stats[0].Count != 1 || stats[0].Min != stats[0].Max || stats[0].Total != stats[0].Min {
-		t.Fatalf("aggregate wrong for single span: %+v", stats[0])
-	}
-
-	events := tr.Events()
-	if len(events) != 4 {
-		t.Fatalf("Events has %d entries, want 4", len(events))
-	}
-	if events[len(events)-1].Msg != "free-standing" {
-		t.Fatalf("last event = %+v", events[len(events)-1])
-	}
-
-	tr.Reset()
-	if len(tr.Stats()) != 0 || len(tr.Events()) != 0 {
-		t.Fatal("Reset did not clear tracer")
-	}
-}
-
-func TestTracerRingOverflow(t *testing.T) {
-	tr := NewTracer(3)
-	for i := 0; i < 5; i++ {
-		tr.Event("e", string(rune('a'+i)))
-	}
-	events := tr.Events()
-	if len(events) != 3 {
-		t.Fatalf("ring kept %d events, want 3", len(events))
-	}
-	if events[0].Msg != "c" || events[2].Msg != "e" {
-		t.Fatalf("ring contents wrong: %+v", events)
-	}
-}
-
+// TestSpanAggregatesMinMax: per-phase aggregates live in the phase's
+// histogram, and ObservePhase feeds it and the trace span from one
+// clock read, so both views agree exactly.
 func TestSpanAggregatesMinMax(t *testing.T) {
-	tr := NewTracer(0)
+	tr := NewTrace("req")
+	h := &Histogram{}
+	var total time.Duration
 	for i := 0; i < 3; i++ {
-		s := StartSpan(tr, "work")
+		start := time.Now()
 		time.Sleep(time.Duration(i) * time.Millisecond)
-		s.End()
+		total += tr.ObservePhase("work", start, h)
 	}
-	st := tr.Stats()[0]
-	if st.Count != 3 || st.Min > st.Max || st.Total < st.Max {
+	st := h.Snapshot()
+	if st.Count != 3 || st.Min > st.Max || st.Sum < st.Max {
 		t.Fatalf("aggregate inconsistent: %+v", st)
+	}
+	var spanSum int64
+	for _, sp := range tr.Snapshot().Spans {
+		if sp.Name == "work" {
+			spanSum += sp.DurNS
+		}
+	}
+	if spanSum != st.Sum || st.Sum != int64(total) {
+		t.Fatalf("span sum %d, histogram sum %d, returned sum %d: want equal", spanSum, st.Sum, total)
+	}
+	// A nil trace still feeds the histogram.
+	(*Trace)(nil).ObservePhase("work", time.Now(), h)
+	if got := h.Snapshot().Count; got != 4 {
+		t.Fatalf("count after nil-trace phase = %d, want 4", got)
 	}
 }
 
@@ -167,25 +134,18 @@ func TestRegistrySharingAndSnapshot(t *testing.T) {
 	r.Counter("x").Add(7)
 	r.Gauge("g").Set(1.25)
 	r.Histogram("h").Observe(9)
-	StartSpan(r.Tracer(), "phase").End()
 
 	s := r.Snapshot()
 	if s.Counters["x"] != 7 || s.Gauges["g"] != 1.25 || s.Histograms["h"].Count != 1 {
 		t.Fatalf("snapshot wrong: %+v", s)
-	}
-	if len(s.Spans) != 1 || s.Spans[0].Name != "phase" {
-		t.Fatalf("snapshot spans wrong: %+v", s.Spans)
-	}
-	if len(s.Events) != 1 {
-		t.Fatalf("snapshot events wrong: %+v", s.Events)
 	}
 
 	r.Reset()
 	if r.Counter("x").Value() != 0 || r.Gauge("g").Value() != 0 {
 		t.Fatal("Reset did not zero instruments")
 	}
-	if s := r.Snapshot(); len(s.Spans) != 0 || len(s.Events) != 0 {
-		t.Fatal("Reset did not clear tracer")
+	if got := r.Histogram("h").Snapshot().Count; got != 0 {
+		t.Fatalf("Reset left histogram count %d", got)
 	}
 }
 
@@ -194,7 +154,7 @@ func TestRegistryRenderings(t *testing.T) {
 	r.Counter("core.streamer.dominance_tests").Add(3)
 	r.Gauge("mediator.time_to_first_answer_ns").Set(1500)
 	r.Histogram("core.streamer.next_ns").Observe(2048)
-	StartSpan(r.Tracer(), "mediator/reformulate").End()
+	r.Histogram("mediator.execute_ns").Observe(4096)
 
 	var jsonBuf bytes.Buffer
 	if err := r.WriteJSON(&jsonBuf); err != nil {
@@ -208,9 +168,8 @@ func TestRegistryRenderings(t *testing.T) {
 		t.Fatalf("JSON round-trip lost counter: %+v", snap)
 	}
 
-	var exp Snapshot
-	if err := json.Unmarshal([]byte(r.String()), &exp); err != nil {
-		t.Fatalf("String() is not valid JSON: %v", err)
+	if h := snap.Histograms["mediator.execute_ns"]; h.Count != 1 || h.Sum != 4096 || h.Min != 4096 || h.Max != 4096 {
+		t.Fatalf("JSON round-trip lost phase aggregate: %+v", h)
 	}
 
 	var text bytes.Buffer
@@ -219,10 +178,24 @@ func TestRegistryRenderings(t *testing.T) {
 	}
 	for _, want := range []string{
 		"counters:", "core.streamer.dominance_tests", "gauges:",
-		"histograms:", "spans:", "mediator/reformulate",
+		"histograms:", "mediator.execute_ns", "count=1 sum=4.096µs",
 	} {
 		if !strings.Contains(text.String(), want) {
 			t.Fatalf("WriteText output missing %q:\n%s", want, text.String())
+		}
+	}
+
+	// OpenMetrics carries the same per-phase count, sum, min and max.
+	var om bytes.Buffer
+	if err := r.WriteOpenMetrics(&om); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`mediator_execute_ns{quantile="0"} 4096`, `mediator_execute_ns{quantile="1"} 4096`,
+		"mediator_execute_ns_sum 4096", "mediator_execute_ns_count 1",
+	} {
+		if !strings.Contains(om.String(), want) {
+			t.Fatalf("WriteOpenMetrics output missing %q:\n%s", want, om.String())
 		}
 	}
 }
@@ -255,26 +228,25 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil Histogram snapshot not zero")
 	}
 
-	var tr *Tracer
+	var tr *Trace
 	tr.Event("a", "b")
-	tr.Reset()
-	if tr.Stats() != nil || tr.Events() != nil {
-		t.Fatal("nil Tracer stats/events not nil")
+	if d := tr.ObservePhase("x", time.Now(), h); d < 0 {
+		t.Fatal("nil Trace ObservePhase returned a negative duration")
 	}
-	sp := StartSpan(tr, "x")
+	sp := tr.StartSpan("x")
 	if sp != nil {
-		t.Fatal("StartSpan on nil tracer returned non-nil span")
+		t.Fatal("StartSpan on nil trace returned non-nil span")
 	}
 	sp.Annotate("m")
 	if sp.End() != 0 {
-		t.Fatal("nil Span End not 0")
+		t.Fatal("nil TraceSpan End not 0")
 	}
 	if sp.StartSpan("child") != nil {
-		t.Fatal("nil Span StartSpan returned non-nil")
+		t.Fatal("nil TraceSpan StartSpan returned non-nil")
 	}
 
 	var r *Registry
-	if r.Counter("c") != nil || r.Gauge("g") != nil || r.Histogram("h") != nil || r.Tracer() != nil {
+	if r.Counter("c") != nil || r.Gauge("g") != nil || r.Histogram("h") != nil {
 		t.Fatal("nil Registry handed out non-nil instruments")
 	}
 	r.Reset()
@@ -287,9 +259,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	if err := r.WriteText(&buf); err != nil {
 		t.Fatal(err)
-	}
-	if r.String() == "" {
-		t.Fatal("nil Registry String empty")
 	}
 }
 
@@ -312,11 +281,8 @@ func TestConcurrentRegistry(t *testing.T) {
 				h.Observe(int64(i % 100))
 				g.Add(1)
 				if i%500 == 0 {
-					s := StartSpan(r.Tracer(), "w")
-					s.Annotate("tick")
-					s.End()
 					_ = r.Snapshot()
-					_ = r.String()
+					_ = r.WriteText(io.Discard)
 				}
 			}
 		}()
@@ -333,17 +299,16 @@ func TestConcurrentRegistry(t *testing.T) {
 	}
 }
 
-// TestDisabledPathAllocs proves the disabled (nil) instruments allocate
-// nothing on the hot path.
+// TestDisabledPathAllocs proves the disabled path — a nil registry's
+// instruments and a nil trace — allocates nothing on the hot path.
 func TestDisabledPathAllocs(t *testing.T) {
-	var c *Counter
-	var h *Histogram
 	var r *Registry
+	var tr *Trace
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		h.Observe(5)
-		sp := StartSpan(r.Tracer(), "x")
-		sp.End()
+		r.Counter("c").Inc()
+		r.Histogram("h").Observe(5)
+		tr.ObservePhase("x", time.Now(), r.Histogram("phase"))
+		tr.StartSpan("x").End()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates %.1f per op, want 0", allocs)

@@ -15,8 +15,9 @@ import (
 //
 //   - counters become counter families with one _total sample;
 //   - gauges become gauge families;
-//   - histograms become summary families (quantile-labeled samples from
-//     the interpolated power-of-two buckets, plus _sum and _count);
+//   - histograms become summary families: the exact min and max as
+//     quantile "0" and "1", the interpolated quantiles between them,
+//     plus _sum and _count;
 //   - calibration series become labeled families (source="..." or
 //     plan="...") for q-error quantiles, signed bias, the drift EWMA,
 //     and the tripped flag;
@@ -185,10 +186,12 @@ func (s Snapshot) WriteOpenMetrics(w io.Writer) error {
 		collide := len(fam.originals) > 1
 		for _, orig := range fam.originals {
 			h := s.Histograms[orig]
+			o.printf("%s%s %d\n", fam.name, sampleLabels(collide, orig, [2]string{"quantile", "0"}), h.Min)
 			for _, sq := range summaryQuantiles {
 				o.printf("%s%s %d\n", fam.name,
 					sampleLabels(collide, orig, [2]string{"quantile", sq.label}), h.Quantile(sq.q))
 			}
+			o.printf("%s%s %d\n", fam.name, sampleLabels(collide, orig, [2]string{"quantile", "1"}), h.Max)
 			o.printf("%s_sum%s %d\n", fam.name, sampleLabels(collide, orig), h.Sum)
 			o.printf("%s_count%s %d\n", fam.name, sampleLabels(collide, orig), h.Count)
 		}

@@ -9,10 +9,10 @@ import (
 	"time"
 )
 
-// Registry aggregates named counters, gauges, and histograms plus one
-// tracer. Instruments are created on first lookup and shared thereafter,
-// so independent subsystems accumulate into the same instrument when
-// they agree on a name. All methods are concurrency-safe, and every
+// Registry aggregates named counters, gauges, and histograms.
+// Instruments are created on first lookup and shared thereafter, so
+// independent subsystems accumulate into the same instrument when they
+// agree on a name. All methods are concurrency-safe, and every
 // method on a nil *Registry is a safe no-op (lookups return nil no-op
 // instruments), which is how instrumentation is disabled.
 type Registry struct {
@@ -20,7 +20,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	tracer   *Tracer
 	// collectors run at the start of every Snapshot, outside the lock,
 	// to refresh gauges that mirror external state (runtime metrics).
 	collectors []func()
@@ -28,13 +27,12 @@ type Registry struct {
 	calib *Calibration
 }
 
-// NewRegistry returns an empty registry with a DefaultMaxEvents tracer.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		tracer:   NewTracer(0),
 	}
 }
 
@@ -86,15 +84,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Tracer returns the registry's tracer (nil, hence no-op, for a nil
-// registry).
-func (r *Registry) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return r.tracer
-}
-
 // AddCollector registers a function invoked at the start of every
 // Snapshot (outside the registry lock, so it may set gauges). Use it
 // for gauges that mirror external state, e.g. Go runtime metrics.
@@ -130,8 +119,7 @@ func (r *Registry) Calibration() *Calibration {
 	return r.calib
 }
 
-// Reset zeroes every instrument and clears the tracer, keeping the
-// instrument identities (pointers handed out remain valid).
+// Reset zeroes every instrument, keeping the instrument identities (pointers handed out remain valid).
 func (r *Registry) Reset() {
 	if r == nil {
 		return
@@ -147,7 +135,6 @@ func (r *Registry) Reset() {
 		h.Reset()
 	}
 	r.mu.Unlock()
-	r.tracer.Reset()
 }
 
 // Snapshot is a point-in-time copy of a registry, JSON-serializable.
@@ -155,8 +142,6 @@ type Snapshot struct {
 	Counters    map[string]int64        `json:"counters,omitempty"`
 	Gauges      map[string]float64      `json:"gauges,omitempty"`
 	Histograms  map[string]HistSnapshot `json:"histograms,omitempty"`
-	Spans       []SpanStat              `json:"spans,omitempty"`
-	Events      []Event                 `json:"events,omitempty"`
 	Calibration *CalibrationSnapshot    `json:"calibration,omitempty"`
 }
 
@@ -191,8 +176,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.Snapshot()
 	}
 	r.mu.Unlock()
-	s.Spans = r.tracer.Stats()
-	s.Events = r.tracer.Events()
 	if calib != nil {
 		cs := calib.Snapshot()
 		s.Calibration = &cs
@@ -207,19 +190,9 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(r.Snapshot())
 }
 
-// String renders the snapshot as compact JSON. This satisfies the
-// expvar.Var interface, so a registry can be exported live with
-// expvar.Publish("qporder", reg).
-func (r *Registry) String() string {
-	b, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		return "{}"
-	}
-	return string(b)
-}
-
-// WriteText renders a human-readable report: sorted counters and gauges,
-// histogram summaries, and per-path span statistics.
+// WriteText renders the snapshot for humans: sorted counters and gauges,
+// then histogram summaries (per-phase timings are histograms, so their
+// count, sum, min and max appear here).
 func (r *Registry) WriteText(w io.Writer) error {
 	s := r.Snapshot()
 	var err error
@@ -244,16 +217,9 @@ func (r *Registry) WriteText(w io.Writer) error {
 		p("histograms:\n")
 		for _, name := range sortedKeys(s.Histograms) {
 			h := s.Histograms[name]
-			p("  %-48s count=%d mean=%s p50=%s p95=%s p99=%s p99.9=%s min=%s max=%s\n", name, h.Count,
-				time.Duration(int64(h.Mean)), time.Duration(h.P50), time.Duration(h.P95),
+			p("  %-48s count=%d sum=%s mean=%s p50=%s p95=%s p99=%s p99.9=%s min=%s max=%s\n", name, h.Count,
+				time.Duration(h.Sum), time.Duration(int64(h.Mean)), time.Duration(h.P50), time.Duration(h.P95),
 				time.Duration(h.P99), time.Duration(h.P999), time.Duration(h.Min), time.Duration(h.Max))
-		}
-	}
-	if len(s.Spans) > 0 {
-		p("spans:\n")
-		for _, st := range s.Spans {
-			p("  %-48s count=%d total=%s min=%s max=%s\n",
-				st.Name, st.Count, st.Total, st.Min, st.Max)
 		}
 	}
 	if err == nil && s.Calibration != nil && !s.Calibration.Empty() {

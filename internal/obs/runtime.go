@@ -8,10 +8,10 @@ import (
 )
 
 // This file mirrors a small set of Go runtime metrics into a Registry so
-// they appear in /metrics in every format (text, JSON, expvar,
-// OpenMetrics) next to the pipeline's own instruments: live heap bytes,
-// GC pause p50/p95 from the runtime's pause-duration histogram,
-// goroutine count, and GOMAXPROCS. The values refresh lazily — a
+// they appear in /metrics in every format (text, JSON, OpenMetrics)
+// next to the pipeline's own instruments: live heap bytes, GC pause
+// p50/p95 from the runtime's pause-duration histogram, goroutine count,
+// and GOMAXPROCS. The values refresh lazily — a
 // registered collector reads runtime/metrics at Snapshot time — so an
 // idle registry costs nothing between scrapes.
 

@@ -166,12 +166,7 @@ func stitchGroup(id TraceID, g []TraceSnapshot) StitchedTrace {
 	st.Spans = len(merged)
 
 	chain := criticalChain(g[root].RootSpan, g[root].DurNS, g[root].Name, merged)
-	names := make([]string, 0, len(chain)-1)
-	for _, sp := range chain[1:] { // the root span duplicates the trace name
-		names = append(names, sp.Name)
-	}
-	st.CriticalPath = strings.Join(names, " > ")
-	st.CriticalNS = chain[len(chain)-1].DurNS
+	st.CriticalPath, st.CriticalNS = chainPath(chain)
 	st.Breakdown = make([]StitchedPart, len(chain))
 	for i, sp := range chain {
 		self := sp.DurNS
@@ -184,6 +179,16 @@ func stitchGroup(id TraceID, g []TraceSnapshot) StitchedTrace {
 		st.Breakdown[i] = StitchedPart{Name: sp.Name, SelfNS: self}
 	}
 	return st
+}
+
+// chainPath renders a critical chain as "a > b > c", leaving out the
+// root (it duplicates the trace name), and returns the leaf's duration.
+func chainPath(chain []SpanRecord) (string, int64) {
+	names := make([]string, 0, len(chain)-1)
+	for _, sp := range chain[1:] {
+		names = append(names, sp.Name)
+	}
+	return strings.Join(names, " > "), chain[len(chain)-1].DurNS
 }
 
 // criticalChain walks the merged span tree from the root span,

@@ -471,11 +471,32 @@ func (s *TraceSpan) End() time.Duration {
 	}
 	s.ended = true
 	d := time.Since(s.start)
-	rec := SpanRecord{
-		ID: s.id, Parent: s.parent, Name: s.name,
-		StartNS: int64(s.start.Sub(s.t.start)), DurNS: int64(d),
+	s.t.addSpan(s.id, s.parent, s.name, s.start, d)
+	return d
+}
+
+// ObservePhase ends a phase begun at start with a single clock read and
+// returns its duration. The duration feeds h (the phase's registry
+// histogram, where per-phase count, sum, min and max live) and, on a
+// live trace, a root-parented span named name, so the two views of one
+// phase never disagree. A nil trace records no span and a nil
+// histogram no observation.
+func (t *Trace) ObservePhase(name string, start time.Time, h *Histogram) time.Duration {
+	d := time.Since(start)
+	h.ObserveDuration(d)
+	if t != nil {
+		t.addSpan(t.nextSpanID(), t.root, name, start, d)
 	}
-	t := s.t
+	return d
+}
+
+// addSpan appends one completed span record (bounded; overflow counts
+// as dropped).
+func (t *Trace) addSpan(id, parent SpanID, name string, start time.Time, d time.Duration) {
+	rec := SpanRecord{
+		ID: id, Parent: parent, Name: name,
+		StartNS: int64(start.Sub(t.start)), DurNS: int64(d),
+	}
 	t.mu.Lock()
 	if len(t.spans) >= DefaultMaxTraceSpans {
 		t.dropped++
@@ -483,7 +504,6 @@ func (s *TraceSpan) End() time.Duration {
 		t.spans = append(t.spans, rec)
 	}
 	t.mu.Unlock()
-	return d
 }
 
 // Finish seals the trace (recording its total duration; later Finish

@@ -338,12 +338,17 @@ func TestDisabledTraceAllocs(t *testing.T) {
 // producer recording into the request trace.
 func TestTraceConcurrency(t *testing.T) {
 	tr := StartRequestTrace("req", wellFormedTraceparent)
+	phase := &Histogram{}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ { // 8*30 = 240 spans, under the 256 cap
+				if i%2 == 1 {
+					tr.ObservePhase("phase", time.Now(), phase)
+					continue
+				}
 				sp := tr.StartSpan("work")
 				tr.Event("e", "m")
 				tr.EmitPlan(PlanProvenance{Index: i})
@@ -356,6 +361,9 @@ func TestTraceConcurrency(t *testing.T) {
 	snap := tr.Finish()
 	if got := len(snap.Spans); got != 8*30+1 {
 		t.Fatalf("spans = %d, want %d", got, 8*30+1)
+	}
+	if got := phase.Snapshot().Count; got != 8*15 {
+		t.Fatalf("phase histogram count = %d, want %d", got, 8*15)
 	}
 	seen := map[SpanID]bool{}
 	for _, s := range snap.Spans {

@@ -10,7 +10,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -180,7 +179,6 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("POST /v1/query", s.handleQuery)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /debug/requests", s.handleRequests)
 	mux.HandleFunc("GET /debug/calibration", s.handleCalibration)
 	mux.HandleFunc("GET /debug/slo", s.handleSLO)
@@ -221,8 +219,7 @@ func buildStore(cat *lav.Catalog, seed int64) (execsim.DB, error) {
 // Handler returns the server's HTTP surface.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Registry exposes the server's metrics registry (publishable with
-// expvar.Publish, since *obs.Registry satisfies expvar.Var).
+// Registry exposes the server's metrics registry.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // SetDraining flips the drain flag: while set, /healthz reports 503 and
