@@ -73,7 +73,8 @@ bench-batch:
 
 # bench-check regenerates the report and fails when any sequential
 # ns/plan worsened >20% against BASELINE (a checked-in BENCH_*.json).
-# CI picks the newest checked-in baseline; refresh it by committing a
+# CI picks the newest checked-in plain BENCH_YYYY-MM-DD.json (suffixed
+# reports hold other experiments); refresh it by committing a
 # bench-json artifact from a green run.
 bench-check:
 	@test -n "$(BASELINE)" || { echo "usage: make bench-check BASELINE=BENCH_<date>.json"; exit 2; }
@@ -100,6 +101,7 @@ fuzz:
 	$(GO) test -fuzz FuzzKernels -fuzztime $(FUZZTIME) ./internal/bitset
 	$(GO) test -fuzz FuzzBatchKernels -fuzztime $(FUZZTIME) ./internal/bitset
 	$(GO) test -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -fuzz FuzzCompareKey -fuzztime $(FUZZTIME) ./internal/planspace
 
 # serve-smoke boots the qpserved daemon (race-enabled build) on a random
 # port, checks the streamed plan order byte-for-byte against qporder,

@@ -8,18 +8,124 @@ import (
 )
 
 // dripsCand is one candidate plan in a Drips run. Concreteness is
-// cached at construction: the refinement loop re-checks every frontier
-// candidate each iteration, and Plan.Concrete walks all nodes per call.
+// cached at construction (Plan.Concrete walks all nodes per call); dead
+// marks a candidate that was pruned or refined, which the lazy heaps
+// drop when it surfaces.
 type dripsCand struct {
 	p    *planspace.Plan
 	u    interval.Interval
 	conc bool
+	dead bool
 }
 
-// parDomThreshold is the candidate-frontier size from which the
-// dominance sweep fans out: below it the sweep is pure float compares
-// and fan-out costs more than it saves.
-const parDomThreshold = 256
+// candHeap is a lazy-deletion binary heap of Drips candidates: less
+// orders it (the best candidate at cs[0]), and dead candidates are only
+// dropped when they surface. It is hand-rolled rather than a
+// container/heap because the sift loops dominate a Drips run and the
+// interface calls cost as much as the comparisons.
+type candHeap struct {
+	cs   []*dripsCand
+	less func(a, b *dripsCand) bool
+}
+
+func (h *candHeap) push(c *dripsCand) {
+	h.cs = append(h.cs, c)
+	for i := len(h.cs) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.less(h.cs[i], h.cs[p]) {
+			break
+		}
+		h.cs[i], h.cs[p] = h.cs[p], h.cs[i]
+		i = p
+	}
+}
+
+// pop removes cs[0].
+func (h *candHeap) pop() {
+	n := len(h.cs) - 1
+	h.cs[0] = h.cs[n]
+	h.cs[n] = nil
+	h.cs = h.cs[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h.less(h.cs[r], h.cs[m]) {
+			m = r
+		}
+		if !h.less(h.cs[m], h.cs[i]) {
+			break
+		}
+		h.cs[i], h.cs[m] = h.cs[m], h.cs[i]
+		i = m
+	}
+}
+
+// top returns the best live candidate, dropping dead ones on the way;
+// nil when none is left.
+func (h *candHeap) top() *dripsCand {
+	for len(h.cs) > 0 {
+		if c := h.cs[0]; !c.dead {
+			return c
+		}
+		h.pop()
+	}
+	return nil
+}
+
+func loFirst(a, b *dripsCand) bool     { return betterPlan(a.u.Lo, a.p, b.u.Lo, b.p) }
+func refineFirst(a, b *dripsCand) bool { return refineBefore(a.u, a.p, b.u, b.p) }
+func minHiFirst(a, b *dripsCand) bool  { return a.u.Hi < b.u.Hi }
+
+// frontier is a Drips run's candidate set, held in three heaps over the
+// same candidates: every live candidate is in lo and hi, every live
+// abstract one also in ref.
+type frontier struct {
+	lo, ref, hi candHeap
+}
+
+// add admits plans with their utilities (one slab for the batch).
+func (f *frontier) add(plans []*planspace.Plan, us []interval.Interval) {
+	cs := make([]dripsCand, len(plans))
+	for i, p := range plans {
+		c := &cs[i]
+		*c = dripsCand{p: p, u: us[i], conc: p.Concrete()}
+		f.lo.push(c)
+		f.hi.push(c)
+		if !c.conc {
+			f.ref.push(c)
+		}
+	}
+}
+
+// prune removes every candidate the incumbent w dominates. w is the
+// (Lo desc, key asc) maximum and candidate keys are distinct, so for
+// c != w, dominatesPlan(w, c) holds exactly when Hi(c) <= Lo(w) (on
+// identical point intervals w wins the key tie-break): the candidates
+// to drop are a prefix of the min-Hi heap. w itself is held aside.
+// Each live candidate tested against w counts as one dominance test.
+func (f *frontier) prune(w *dripsCand, cnt counters) {
+	held := false
+	for len(f.hi.cs) > 0 {
+		c := f.hi.cs[0]
+		if c == w || c.dead {
+			f.hi.pop()
+			held = held || c == w
+			continue
+		}
+		dominated := c.u.Hi <= w.u.Lo
+		cnt.domTest(dominated)
+		if !dominated {
+			break
+		}
+		f.hi.pop()
+		c.dead = true
+	}
+	if held {
+		f.hi.push(w)
+	}
+}
 
 // DripsBest runs the Drips refinement loop (Section 5.1) over the given
 // abstract root plans and returns the best concrete plan with its
@@ -28,7 +134,8 @@ const parDomThreshold = 256
 // without evaluating their concrete plans; the most promising abstract
 // candidate (highest upper bound) is refined each round.
 //
-// roots must be non-empty and collectively non-empty; the winner always
+// roots must be non-empty, collectively non-empty and cover disjoint
+// plan sets (as the roots of disjoint spaces do); the winner always
 // exists.
 func DripsBest(ctx measure.Context, roots []*planspace.Plan) (*planspace.Plan, float64) {
 	return dripsBest(ctx, roots, counters{}, nil)
@@ -39,112 +146,41 @@ func DripsBest(ctx measure.Context, roots []*planspace.Plan) (*planspace.Plan, f
 // evaluation fans out to the evaluator's pool; results merge back in
 // candidate order, so the refinement trajectory — and hence the winner —
 // is identical to the sequential run.
+//
+// Each round prunes what the incumbent dominates and refines the best
+// live abstract candidate; when none is left, the incumbent is the
+// winner. The heaps make a round logarithmic in the frontier instead of
+// the three linear scans (dominance sweep, termination check, argmax) of
+// the textbook loop.
 func dripsBest(ctx measure.Context, roots []*planspace.Plan, c counters,
 	ev *parallel.Evaluator) (*planspace.Plan, float64) {
-	cands := make([]*dripsCand, 0, len(roots))
-	for i, u := range evalAll(ctx, ev, roots) {
-		cands = append(cands, &dripsCand{p: roots[i], u: u, conc: roots[i].Concrete()})
-	}
+	f := frontier{lo: candHeap{less: loFirst}, ref: candHeap{less: refineFirst}, hi: candHeap{less: minHiFirst}}
+	us := evalAll(ctx, ev, roots) // reused: add copies each batch out
+	f.add(roots, us)
 	for {
-		cands = pruneDominated(cands, c, ev)
-		// Termination: a single concrete candidate, or only concrete
-		// candidates left (ties).
-		allConcrete := true
-		for _, c := range cands {
-			if !c.conc {
-				allConcrete = false
-				break
-			}
+		w := f.lo.top()
+		f.prune(w, c)
+		t := f.ref.top()
+		if t == nil {
+			return w.p, w.u.Lo
 		}
-		if allConcrete {
-			best := cands[0]
-			for _, c := range cands[1:] {
-				if betterPlan(c.u.Lo, c.p, best.u.Lo, best.p) {
-					best = c
-				}
-			}
-			return best.p, best.u.Lo
-		}
-		// Refine the most promising abstract candidate.
-		ri := -1
-		for i, c := range cands {
-			if c.conc {
-				continue
-			}
-			if ri < 0 || refineBefore(c, cands[ri]) {
-				ri = i
-			}
-		}
-		target := cands[ri]
-		cands = append(cands[:ri], cands[ri+1:]...)
+		f.ref.pop()
+		t.dead = true
 		c.refine()
-		children := target.p.Refine()
-		for i, u := range evalAll(ctx, ev, children) {
-			cands = append(cands, &dripsCand{p: children[i], u: u, conc: children[i].Concrete()})
-		}
+		children := t.p.Refine()
+		us = evalInto(ctx, ev, children, us)
+		f.add(children, us)
 	}
 }
 
 // refineBefore orders refinement priority: higher upper bound first, then
 // wider interval, then key (deterministic).
-func refineBefore(a, b *dripsCand) bool {
-	if a.u.Hi != b.u.Hi {
-		return a.u.Hi > b.u.Hi
+func refineBefore(ua interval.Interval, pa *planspace.Plan, ub interval.Interval, pb *planspace.Plan) bool {
+	if ua.Hi != ub.Hi {
+		return ua.Hi > ub.Hi
 	}
-	if a.u.Width() != b.u.Width() {
-		return a.u.Width() > b.u.Width()
+	if ua.Width() != ub.Width() {
+		return ua.Width() > ub.Width()
 	}
-	return a.p.Key() < b.p.Key()
-}
-
-// pruneDominated removes every candidate dominated by the candidate with
-// the maximum lower bound (the only candidate that can dominate others en
-// masse; pairwise checks against non-maximal candidates are subsumed).
-// Large frontiers fan the per-candidate dominance tests out to the
-// evaluator's pool; the keep-mask is index-addressed, so the surviving
-// candidates — and their order — match the sequential sweep exactly.
-func pruneDominated(cands []*dripsCand, cnt counters, ev *parallel.Evaluator) []*dripsCand {
-	if len(cands) <= 1 {
-		return cands
-	}
-	w := cands[0]
-	for _, c := range cands[1:] {
-		if c.u.Lo > w.u.Lo || (c.u.Lo == w.u.Lo && c.p.Key() < w.p.Key()) {
-			w = c
-		}
-	}
-	if ev != nil && len(cands) >= parDomThreshold && ev.Parallel(len(cands)) {
-		w.p.Key() // pre-built once so workers only take the cached read
-		keep := make([]bool, len(cands))
-		ev.Pool().Run(len(cands), func(_, i int) {
-			c := cands[i]
-			if c == w {
-				keep[i] = true
-				return
-			}
-			dominated := dominatesPlan(w.u, c.u, w.p, c.p)
-			cnt.domTest(dominated)
-			keep[i] = !dominated
-		})
-		out := cands[:0]
-		for i, c := range cands {
-			if keep[i] {
-				out = append(out, c)
-			}
-		}
-		return out
-	}
-	out := cands[:0]
-	for _, c := range cands {
-		if c == w {
-			out = append(out, c)
-			continue
-		}
-		dominated := dominatesPlan(w.u, c.u, w.p, c.p)
-		cnt.domTest(dominated)
-		if !dominated {
-			out = append(out, c)
-		}
-	}
-	return out
+	return planspace.CompareKey(pa, pb) < 0
 }

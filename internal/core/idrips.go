@@ -8,15 +8,21 @@ import (
 )
 
 // IDrips is the iterated-Drips orderer of Section 5.2. Each Next call
-// re-abstracts the sources of every remaining plan space, runs Drips over
-// the abstract roots to find the current best plan (conditioned on the
-// executed prefix), and removes that plan by plan-space splitting. The
-// re-abstraction and the re-established dominance comparisons are the
-// duplicated work the paper contrasts with Streamer.
+// runs Drips from the abstract roots of every remaining plan space to
+// find the current best plan (conditioned on the executed prefix), and
+// removes that plan by plan-space splitting. The re-evaluation of the
+// roots and the re-established dominance comparisons are the duplicated
+// work the paper contrasts with Streamer.
+//
+// Spaces are immutable, so a space's abstraction is a pure function of
+// the space: each space is abstracted once, in the first Next after the
+// split that created it, and its root plan is reused until the space is
+// split in turn.
 type IDrips struct {
 	ctx    measure.Context
 	heur   abstraction.Heuristic
 	spaces []*planspace.Space
+	roots  []*planspace.Plan // roots[i] abstracts spaces[i]; nil until needed
 	c      counters
 	par    parcfg
 	trace  traceState
@@ -26,7 +32,7 @@ type IDrips struct {
 // grouping heuristic.
 func NewIDrips(spaces []*planspace.Space, m measure.Measure, heur abstraction.Heuristic) *IDrips {
 	cp := append([]*planspace.Space(nil), spaces...)
-	return &IDrips{ctx: m.NewContext(), heur: heur, spaces: cp}
+	return &IDrips{ctx: m.NewContext(), heur: heur, spaces: cp, roots: make([]*planspace.Plan, len(cp))}
 }
 
 // Context implements Orderer.
@@ -46,9 +52,9 @@ func (d *IDrips) SetTrace(tr *obs.Trace) {
 	d.c.bindTrace(&d.trace)
 }
 
-// Parallelism implements Parallel: candidate evaluation and dominance
-// sweeps inside each Drips run fan out to n workers. Output is identical
-// to the sequential run for every n.
+// Parallelism implements Parallel: candidate evaluation inside each
+// Drips run fans out to n workers. Output is identical to the sequential
+// run for every n.
 func (d *IDrips) Parallelism(n int) { d.par.set(n) }
 
 // Next implements Orderer.
@@ -58,12 +64,14 @@ func (d *IDrips) Next() (*planspace.Plan, float64, bool) {
 		d.c.exhausted.Inc()
 		return nil, 0, false
 	}
-	// Re-abstract every space and run Drips over all roots jointly.
-	roots := make([]*planspace.Plan, len(d.spaces))
-	for i, s := range d.spaces {
-		roots[i] = s.Root(d.heur)
+	// Abstract the spaces the last split created, then run Drips over all
+	// roots jointly.
+	for i, r := range d.roots {
+		if r == nil {
+			d.roots[i] = d.spaces[i].Root(d.heur)
+		}
 	}
-	best, util := dripsBest(d.ctx, roots, d.c, d.par.evaluator(d.ctx, "idrips"))
+	best, util := dripsBest(d.ctx, d.roots, d.c, d.par.evaluator(d.ctx, "idrips"))
 	d.ctx.Observe(best)
 
 	// Remove the winner from its (unique) containing space by splitting.
@@ -82,6 +90,8 @@ func (d *IDrips) Next() (*planspace.Plan, float64, bool) {
 	subs := d.spaces[idx].Remove(srcs)
 	d.spaces = append(d.spaces[:idx], d.spaces[idx+1:]...)
 	d.spaces = append(d.spaces, subs...)
+	d.roots = append(d.roots[:idx], d.roots[idx+1:]...)
+	d.roots = append(d.roots, make([]*planspace.Plan, len(subs))...)
 	d.trace.emitPlan("idrips", best, util, d.ctx.Evals())
 	return best, util, true
 }

@@ -30,8 +30,12 @@ func Instrument(o Orderer, reg *obs.Registry) {
 //
 // Counter names, with their paper meaning (see README "Observability"):
 //
-//	core.<algo>.dominance_tests — interval dominance tests Lo(p) >= Hi(q)
-//	    (Section 5.1's pruning comparisons);
+//	core.<algo>.dominance_tests — interval dominance tests Lo(w) >= Hi(q)
+//	    of the incumbent w against a candidate q (Section 5.1's pruning
+//	    comparisons) that the orderer actually performs: for iDrips, the
+//	    candidates each Drips round pops off its min-Hi heap plus the one
+//	    that stops the round; for Streamer, the incumbent sweep after each
+//	    output and the lazy tests at the refinement heap's top;
 //	core.<algo>.refinements     — abstract-plan refinements, replacing an
 //	    abstract node by its children (Section 5.1);
 //	core.<algo>.splits          — plan-space splits removing an output
@@ -69,9 +73,9 @@ func (c *counters) domTest(dominated bool) {
 	c.domTests.Inc()
 	if p := c.prov; p != nil {
 		if dominated {
-			p.domWon.Add(1)
+			p.domWon++
 		} else {
-			p.domLost.Add(1)
+			p.domLost++
 		}
 	}
 }
@@ -80,7 +84,7 @@ func (c *counters) domTest(dominated bool) {
 func (c *counters) refine() {
 	c.refines.Inc()
 	if p := c.prov; p != nil {
-		p.refines.Add(1)
+		p.refines++
 	}
 }
 
@@ -88,7 +92,7 @@ func (c *counters) refine() {
 func (c *counters) split() {
 	c.splits.Inc()
 	if p := c.prov; p != nil {
-		p.splits.Add(1)
+		p.splits++
 	}
 }
 

@@ -50,26 +50,15 @@ func Take(o Orderer, k int) ([]*planspace.Plan, []float64) {
 	return plans, utils
 }
 
-// better reports whether (ua, keyA) precedes (ub, keyB) in the canonical
-// output order: higher utility first, then lexicographic plan key for
-// deterministic tie-breaking.
-func better(ua float64, keyA string, ub float64, keyB string) bool {
-	if ua != ub {
-		return ua > ub
-	}
-	return keyA < keyB
-}
-
-// betterPlan is better with the plan keys taken lazily: utilities are
-// compared first and the keys — whose first build materializes a string —
-// are only touched on an exact tie. Selection loops compare every
-// candidate pair, so eagerly passing p.Key() to better would build keys
-// for the whole candidate set even when no tie ever happens.
+// betterPlan reports whether (ua, pa) precedes (ub, pb) in the canonical
+// output order: higher utility first, then plan key for deterministic
+// tie-breaking. The key order comes from planspace.CompareKey, which
+// orders like the keys without building them.
 func betterPlan(ua float64, pa *planspace.Plan, ub float64, pb *planspace.Plan) bool {
 	if ua != ub {
 		return ua > ub
 	}
-	return pa.Key() < pb.Key()
+	return planspace.CompareKey(pa, pb) < 0
 }
 
 // dominates implements the Drips dominance test with the tie-break that
@@ -88,16 +77,15 @@ func dominates(up, uq interval.Interval, keyP, keyQ string) bool {
 	return false
 }
 
-// dominatesPlan is dominates with the plan keys taken lazily, for the
-// same reason as betterPlan: the keys only matter for identical point
-// intervals, which are rare in a dominance sweep.
+// dominatesPlan is dominates on plans, with the key tie-break taken by
+// planspace.CompareKey as in betterPlan.
 func dominatesPlan(up, uq interval.Interval, p, q *planspace.Plan) bool {
 	if up.Lo > uq.Hi {
 		return true
 	}
 	if up.Lo == uq.Hi {
 		if uq.Lo == up.Hi { // identical point intervals
-			return p.Key() < q.Key()
+			return planspace.CompareKey(p, q) < 0
 		}
 		return true
 	}

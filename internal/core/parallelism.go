@@ -76,7 +76,17 @@ func (p *parcfg) evaluator(ctx measure.Context, algo string) *parallel.Evaluator
 // slice per kernel pass instead of plan by plan. Results are in input
 // order.
 func evalAll(ctx measure.Context, ev *parallel.Evaluator, plans []*planspace.Plan) []interval.Interval {
-	out := make([]interval.Interval, len(plans))
+	return evalInto(ctx, ev, plans, nil)
+}
+
+// evalInto is evalAll writing into buf's backing array when it has room,
+// so a loop that consumes each batch before the next can reuse one
+// buffer.
+func evalInto(ctx measure.Context, ev *parallel.Evaluator, plans []*planspace.Plan, buf []interval.Interval) []interval.Interval {
+	if cap(buf) < len(plans) {
+		buf = make([]interval.Interval, len(plans))
+	}
+	out := buf[:len(plans)]
 	if ev == nil {
 		measure.EvaluateAll(ctx, plans, out)
 	} else {

@@ -72,13 +72,7 @@ func (h *planHeap) Less(i, j int) bool {
 	if h.byLo {
 		return betterPlan(a.u.Lo, a.p, b.u.Lo, b.p)
 	}
-	if a.u.Hi != b.u.Hi {
-		return a.u.Hi > b.u.Hi
-	}
-	if a.u.Width() != b.u.Width() {
-		return a.u.Width() > b.u.Width()
-	}
-	return a.p.Key() < b.p.Key()
+	return refineBefore(a.u, a.p, b.u, b.p)
 }
 func (h *planHeap) Push(x interface{}) { h.es = append(h.es, x.(entry)) }
 func (h *planHeap) Pop() interface{} {

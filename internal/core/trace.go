@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"qporder/internal/measure"
 	"qporder/internal/obs"
 	"qporder/internal/planspace"
@@ -28,14 +26,14 @@ func SetTrace(o Orderer, tr *obs.Trace) {
 	}
 }
 
-// provCounts accumulates the per-Next provenance deltas. The fields are
-// atomic because dominance tests fan out to parallel pool workers; the
-// Swap(0) reads happen on the Next goroutine after the pool quiesced.
+// provCounts accumulates the per-Next provenance deltas. Every recording
+// happens on the Next goroutine: dominance tests, refinements and splits
+// never fan out to pool workers.
 type provCounts struct {
-	domWon  atomic.Int64 // dominance tests the incumbent won (pruned a plan)
-	domLost atomic.Int64 // dominance tests that failed to prune
-	refines atomic.Int64
-	splits  atomic.Int64
+	domWon  int64 // dominance tests the incumbent won (pruned a plan)
+	domLost int64 // dominance tests that failed to prune
+	refines int64
+	splits  int64
 }
 
 // traceState is the per-orderer provenance recorder. Its zero value is
@@ -53,10 +51,7 @@ func (t *traceState) set(tr *obs.Trace, ctx measure.Context) {
 	t.tr = tr
 	t.emitted = tr.PlanCount()
 	t.lastEvals = ctx.Evals()
-	t.prov.domWon.Store(0)
-	t.prov.domLost.Store(0)
-	t.prov.refines.Store(0)
-	t.prov.splits.Store(0)
+	t.prov = provCounts{}
 }
 
 // provPtr returns the counter sink the orderer's counters should feed,
@@ -81,12 +76,13 @@ func (t *traceState) emitPlan(algo string, p *planspace.Plan, u float64, evals i
 		Algo:        algo,
 		Plan:        p.Key(),
 		Utility:     u,
-		DomWon:      t.prov.domWon.Swap(0),
-		DomLost:     t.prov.domLost.Swap(0),
-		Refinements: t.prov.refines.Swap(0),
-		Splits:      t.prov.splits.Swap(0),
+		DomWon:      t.prov.domWon,
+		DomLost:     t.prov.domLost,
+		Refinements: t.prov.refines,
+		Splits:      t.prov.splits,
 		Evals:       int64(evals - t.lastEvals),
 	})
+	t.prov = provCounts{}
 	t.emitted++
 	t.lastEvals = evals
 }

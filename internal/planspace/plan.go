@@ -7,6 +7,7 @@
 package planspace
 
 import (
+	"cmp"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -93,6 +94,121 @@ func (p *Plan) Key() string {
 	k := b.String()
 	p.key.Store(&k)
 	return k
+}
+
+// CompareKey orders two plans exactly as strings.Compare(a.Key(),
+// b.Key()) does, without building either key: it walks the bytes the
+// keys would hold ("|" between positions, a leaf as its source ID, a
+// group as "{id,id,...}") node by node and decides at the first byte
+// that differs. Ordering paths (tie-breaks among equal utilities) call
+// it on many plans whose keys are never otherwise needed. Source IDs
+// are non-negative catalog indexes, as everywhere in this package.
+func CompareKey(a, b *Plan) int {
+	if a == b {
+		return 0
+	}
+	if ka, kb := a.key.Load(), b.key.Load(); ka != nil && kb != nil {
+		return strings.Compare(*ka, *kb)
+	}
+	na, nb := a.Nodes, b.Nodes
+	for i := 0; i < len(na) && i < len(nb); i++ {
+		if na[i] != nb[i] {
+			if c := compareNode(na[i], nb[i], follower(i+1 < len(na)), follower(i+1 < len(nb))); c != 0 {
+				return c
+			}
+		}
+	}
+	// Every shared position renders equally, so the shorter key is a
+	// prefix of the longer one.
+	return cmp.Compare(len(na), len(nb))
+}
+
+// endOfKey stands for the end of a key in byte comparisons: it sorts
+// before every byte.
+const endOfKey = -1
+
+// follower returns the byte after position i's rendering: '|' when more
+// positions follow, endOfKey otherwise.
+func follower(more bool) int {
+	if more {
+		return '|'
+	}
+	return endOfKey
+}
+
+// compareNode compares the key renderings of two nodes, each followed by
+// the given byte (fx, fy), and returns 0 when the renderings are equal
+// so the caller can compare what follows.
+func compareNode(x, y *abstraction.Node, fx, fy int) int {
+	xl, yl := x.IsLeaf(), y.IsLeaf()
+	switch {
+	case xl && yl:
+		return compareDecimal(uint64(x.Sources[0]), uint64(y.Sources[0]), fx, fy)
+	case xl:
+		return -1 // a digit sorts before '{'
+	case yl:
+		return 1
+	}
+	xs, ys := x.Sources, y.Sources
+	for j := 0; ; j++ {
+		gx, gy := int('}'), int('}')
+		if j+1 < len(xs) {
+			gx = ','
+		}
+		if j+1 < len(ys) {
+			gy = ','
+		}
+		if c := compareDecimal(uint64(xs[j]), uint64(ys[j]), gx, gy); c != 0 {
+			return c
+		}
+		if gx != gy || gx == '}' {
+			return cmp.Compare(gx, gy)
+		}
+	}
+}
+
+// compareDecimal compares the decimal renderings of u and v, followed by
+// the bytes fu and fv, up to the end of the longer rendering. It returns
+// 0 when the renderings are equal.
+func compareDecimal(u, v uint64, fu, fv int) int {
+	if u == v {
+		return 0
+	}
+	du, dv := decimalDigits(u), decimalDigits(v)
+	pu, pv := u, v
+	for d := du; d > dv; d-- {
+		pu /= 10
+	}
+	for d := dv; d > du; d-- {
+		pv /= 10
+	}
+	if pu != pv {
+		return cmp.Compare(pu, pv)
+	}
+	// One rendering is a proper prefix of the other: the shorter one's
+	// follower meets a digit of the longer one.
+	if du < dv {
+		return beforeDigit(fu)
+	}
+	return -beforeDigit(fv)
+}
+
+// beforeDigit compares a follower byte against any digit: -1 when it
+// sorts before the digits (end of key, ','), 1 otherwise ('|', '}').
+func beforeDigit(f int) int {
+	if f < '0' {
+		return -1
+	}
+	return 1
+}
+
+func decimalDigits(u uint64) int {
+	n := 1
+	for u >= 10 {
+		u /= 10
+		n++
+	}
+	return n
 }
 
 // Refine replaces the largest abstract node (earliest position on ties)
