@@ -102,6 +102,7 @@ fuzz:
 	$(GO) test -fuzz FuzzBatchKernels -fuzztime $(FUZZTIME) ./internal/bitset
 	$(GO) test -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -fuzz FuzzCompareKey -fuzztime $(FUZZTIME) ./internal/planspace
+	$(GO) test -fuzz FuzzChainConcrete -fuzztime $(FUZZTIME) ./internal/costmodel
 
 # serve-smoke boots the qpserved daemon (race-enabled build) on a random
 # port, checks the streamed plan order byte-for-byte against qporder,

@@ -296,22 +296,16 @@ func main() {
 	}
 
 	if *metrics != "" || *compare != "" {
-		rep := buildMetrics(dc, sizes, base, *par, *reps)
-		rep.Records = append(rep.Records, batchRecs...)
-		rep.Serve = serveRecs
-		rep.Fleet = fleetRecs
-		rep.Store = storeRecs
-		if *metrics != "" {
-			if err := writeReport(*metrics, rep); err != nil {
-				fmt.Fprintln(os.Stderr, "qpbench: metrics:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("metrics: wrote %s\n", *metrics)
-		}
-		if *compare != "" {
-			if !checkRegressions(rep, *compare, *regThresh) {
-				os.Exit(1)
-			}
+		ok := reportMetrics(*metrics, *compare, *regThresh, func() experiment.MetricsReport {
+			rep := buildMetrics(dc, sizes, base, *par, *reps)
+			rep.Records = append(rep.Records, batchRecs...)
+			rep.Serve = serveRecs
+			rep.Fleet = fleetRecs
+			rep.Store = storeRecs
+			return rep
+		})
+		if !ok {
+			os.Exit(1)
 		}
 	}
 
@@ -319,12 +313,13 @@ func main() {
 }
 
 // buildMetrics runs the instrumented benchmark cells — coverage with PI,
-// iDrips, and Streamer (k=10) plus linear cost with Greedy (k=20) at each
-// bucket size — and assembles the MetricsReport document. With par > 1
-// each cell also runs with that worker count, so the report carries
-// sequential-vs-parallel pairs (tagged by the parallelism field). Cells
-// are timed best-of-reps (sub-second cells only) so the micro cells
-// aren't at the mercy of one scheduler hiccup.
+// iDrips, and Streamer (k=10), PI and iDrips on the cost measures
+// chain-fail-caching and monetary (k=10), plus linear cost with Greedy
+// (k=20) at each bucket size — and assembles the MetricsReport
+// document. With par > 1 each cell also runs with that worker count,
+// so the report carries sequential-vs-parallel pairs (tagged by the
+// parallelism field). Cells are timed best-of-reps (sub-second cells
+// only) so the micro cells aren't at the mercy of one scheduler hiccup.
 func buildMetrics(dc experiment.DomainCache, sizes []int, base workload.Config, par, reps int) experiment.MetricsReport {
 	var recs []experiment.MetricRecord
 	for _, m := range sizes {
@@ -335,6 +330,10 @@ func buildMetrics(dc experiment.DomainCache, sizes []int, base workload.Config, 
 			{Algo: experiment.AlgoIDrips, Measure: experiment.MeasureCoverage, K: 10, Config: cfg, Reps: reps},
 			{Algo: experiment.AlgoStreamer, Measure: experiment.MeasureCoverage, K: 10, Config: cfg, Reps: reps},
 			{Algo: experiment.AlgoGreedy, Measure: experiment.MeasureLinear, K: 20, Config: cfg, Reps: reps},
+			{Algo: experiment.AlgoPI, Measure: experiment.MeasureChainFailCache, K: 10, Config: cfg, Reps: reps},
+			{Algo: experiment.AlgoIDrips, Measure: experiment.MeasureChainFailCache, K: 10, Config: cfg, Reps: reps},
+			{Algo: experiment.AlgoPI, Measure: experiment.MeasureMonetary, K: 10, Config: cfg, Reps: reps},
+			{Algo: experiment.AlgoIDrips, Measure: experiment.MeasureMonetary, K: 10, Config: cfg, Reps: reps},
 		}
 		if par > 1 {
 			for _, c := range cells[:len(cells):len(cells)] {
@@ -353,6 +352,42 @@ func buildMetrics(dc experiment.DomainCache, sizes []int, base workload.Config, 
 	}
 }
 
+// reportMetrics builds the metrics report, writes it to metricsPath (when
+// set) and regression-checks it against the baseline at comparePath (when
+// set). It reads the baseline before building or writing anything:
+// make bench-check names the day's report as its output, and on a day
+// whose report is also the checked-in baseline the two paths are one
+// file. It returns false on any error or regression.
+func reportMetrics(metricsPath, comparePath string, threshold float64, build func() experiment.MetricsReport) bool {
+	var base experiment.MetricsReport
+	if comparePath != "" {
+		var err error
+		if base, err = readReport(comparePath); err != nil {
+			fmt.Fprintln(os.Stderr, "qpbench: compare:", err)
+			return false
+		}
+	}
+	rep := build()
+	if metricsPath != "" {
+		if err := writeReport(metricsPath, rep); err != nil {
+			fmt.Fprintln(os.Stderr, "qpbench: metrics:", err)
+			return false
+		}
+		fmt.Printf("metrics: wrote %s\n", metricsPath)
+	}
+	return comparePath == "" || checkRegressions(rep, base, comparePath, threshold)
+}
+
+func readReport(path string) (experiment.MetricsReport, error) {
+	var rep experiment.MetricsReport
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return rep, err
+	}
+	err = json.Unmarshal(raw, &rep)
+	return rep, err
+}
+
 func writeReport(path string, rep experiment.MetricsReport) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -367,20 +402,11 @@ func writeReport(path string, rep experiment.MetricsReport) error {
 	return f.Close()
 }
 
-// checkRegressions compares the current report's sequential ns/plan
-// against the baseline file; it prints every regression and returns
-// false when any cell worsened beyond the threshold.
-func checkRegressions(cur experiment.MetricsReport, baselinePath string, threshold float64) bool {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "qpbench: compare:", err)
-		return false
-	}
-	var base experiment.MetricsReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintln(os.Stderr, "qpbench: compare:", err)
-		return false
-	}
+// checkRegressions compares the current report's sequential ns/plan and
+// allocs/eval against the baseline read from baselinePath; it prints
+// every regression and returns false when any cell worsened beyond the
+// threshold.
+func checkRegressions(cur, base experiment.MetricsReport, baselinePath string, threshold float64) bool {
 	regs := experiment.CompareReports(cur, base, threshold)
 	aregs := experiment.CompareAllocs(cur, base, threshold)
 	if len(regs) == 0 && len(aregs) == 0 {

@@ -29,15 +29,22 @@ type PI struct {
 	par     parcfg
 	trace   traceState
 
-	// Reusable sweep buffers: the frontier of plans pending re-evaluation
-	// after an output, their indices, the interval results, and the
-	// per-plan independence verdicts the bulk sweep writes. Keeping them
-	// on the orderer makes the steady-state Next loop allocation-free.
+	// Reusable sweep buffers: the plans pending re-evaluation after an
+	// output, their indices, and the interval results grow with the
+	// dependent set (ivals starts chunk-sized, from the initial scoring
+	// pass); indep holds the per-plan verdicts of the independence sweep.
+	// Keeping them on the orderer makes the steady-state Next loop
+	// allocation-free once they have grown.
 	pending []*planspace.Plan
 	pendIdx []int
 	ivals   []interval.Interval
 	indep   []bool
 }
+
+// piChunk is how many plans each worker scores per call in PI's initial
+// pass: the pass needs one chunk-sized interval buffer, not an n-sized
+// one, and a chunk per worker keeps the parallel pass fanned out.
+const piChunk = 4096
 
 // NewPI builds the orderer over the concrete plans of the given spaces.
 func NewPI(spaces []*planspace.Space, m measure.Measure) *PI {
@@ -116,16 +123,7 @@ func (pi *PI) Next() (*planspace.Plan, float64, bool) {
 	ev := pi.par.evaluator(pi.ctx, "pi")
 	if !pi.started {
 		pi.started = true
-		pi.scratch(len(pi.plans))
-		if ev == nil {
-			measure.EvaluateAll(pi.ctx, pi.plans, pi.ivals)
-		} else {
-			ev.EvalInto(pi.plans, pi.ivals)
-		}
-		for i := range pi.plans {
-			pi.utils[i] = pi.ivals[i].Lo
-			pi.alive[i] = true
-		}
+		pi.scoreAll(ev)
 	}
 	if pi.nAlive == 0 {
 		pi.c.exhausted.Inc()
@@ -141,18 +139,25 @@ func (pi *PI) Next() (*planspace.Plan, float64, bool) {
 	// independence sweep against the fixed delta (memoized overlap rows
 	// on bulk-capable contexts), then the dependent survivors score as
 	// one frontier so a batch-capable measure takes the tiled kernels.
-	pi.scratch(len(pi.plans))
+	if pi.indep == nil {
+		pi.indep = make([]bool, len(pi.plans))
+	}
 	if ev == nil {
 		measure.IndependentAll(pi.ctx, pi.plans, d, pi.alive, pi.indep)
 	} else {
 		ev.IndependentInto(pi.plans, d, pi.alive, pi.indep)
 	}
+	pi.pending, pi.pendIdx = pi.pending[:0], pi.pendIdx[:0]
 	for i, a := range pi.alive {
 		if a && !pi.indep[i] {
+			if len(pi.pending) == cap(pi.pending) {
+				pi.growPending()
+			}
 			pi.pendIdx = append(pi.pendIdx, i)
 			pi.pending = append(pi.pending, pi.plans[i])
 		}
 	}
+	pi.ivals = growIntervals(pi.ivals, len(pi.pending))
 	if ev == nil {
 		measure.EvaluateAll(pi.ctx, pi.pending, pi.ivals)
 	} else {
@@ -165,19 +170,49 @@ func (pi *PI) Next() (*planspace.Plan, float64, bool) {
 	return d, u, true
 }
 
-// scratch sizes the reusable sweep buffers for n plans and empties the
-// pending lists.
-func (pi *PI) scratch(n int) {
-	if cap(pi.ivals) < n {
-		pi.ivals = make([]interval.Interval, n)
-		pi.pending = make([]*planspace.Plan, 0, n)
-		pi.pendIdx = make([]int, 0, n)
-		pi.indep = make([]bool, n)
+// scoreAll evaluates the whole space once, chunk by chunk through one
+// reusable chunk-sized buffer, and marks every plan alive. A plan's
+// interval does not depend on the chunk it is scored in, and each chunk
+// counts one evaluation per plan, so results and counters match a single
+// whole-space call.
+func (pi *PI) scoreAll(ev *parallel.Evaluator) {
+	n := len(pi.plans)
+	chunk := piChunk
+	if ev != nil {
+		chunk *= ev.Pool().Workers()
 	}
-	pi.ivals = pi.ivals[:n]
-	pi.indep = pi.indep[:n]
-	pi.pending = pi.pending[:0]
-	pi.pendIdx = pi.pendIdx[:0]
+	pi.ivals = growIntervals(pi.ivals, min(chunk, n))
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		out := pi.ivals[:hi-lo]
+		if ev == nil {
+			measure.EvaluateAll(pi.ctx, pi.plans[lo:hi], out)
+		} else {
+			ev.EvalInto(pi.plans[lo:hi], out)
+		}
+		for i, iv := range out {
+			pi.utils[lo+i] = iv.Lo
+			pi.alive[lo+i] = true
+		}
+	}
+}
+
+// growPending doubles the capacity of the pending lists (at least to
+// piChunk, at most to the space size), so they reallocate O(log n) times
+// as the dependent set grows.
+func (pi *PI) growPending() {
+	c := min(max(piChunk, 2*cap(pi.pending)), len(pi.plans))
+	pi.pending = append(make([]*planspace.Plan, 0, c), pi.pending...)
+	pi.pendIdx = append(make([]int, 0, c), pi.pendIdx...)
+}
+
+// growIntervals returns buf resliced to length n, reallocating only when
+// its capacity is short.
+func growIntervals(buf []interval.Interval, n int) []interval.Interval {
+	if cap(buf) < n {
+		return make([]interval.Interval, n, max(n, 2*cap(buf)))
+	}
+	return buf[:n]
 }
 
 // selectBest returns the index of the best alive plan. The parallel path
@@ -185,18 +220,8 @@ func (pi *PI) scratch(n int) {
 // the comparison is a strict total order (utility, then key, with dead
 // plans after all alive ones), so the winner matches the sequential scan.
 func (pi *PI) selectBest(ev *parallel.Evaluator) int {
-	cmp := func(i, j int) bool {
-		ai, aj := pi.alive[i], pi.alive[j]
-		if ai != aj {
-			return ai
-		}
-		if !ai {
-			return i < j
-		}
-		return betterPlan(pi.utils[i], pi.plans[i], pi.utils[j], pi.plans[j])
-	}
 	if ev != nil && ev.Parallel(len(pi.plans)) {
-		return ev.Pool().Best(len(pi.plans), cmp)
+		return ev.Pool().Best(len(pi.plans), pi.before)
 	}
 	bestIdx := -1
 	bestU := 0.0
@@ -215,6 +240,19 @@ func (pi *PI) selectBest(ev *parallel.Evaluator) int {
 		}
 	}
 	return bestIdx
+}
+
+// before is selectBest's strict total order over plan indices: alive
+// plans by betterPlan, then dead plans by index.
+func (pi *PI) before(i, j int) bool {
+	ai, aj := pi.alive[i], pi.alive[j]
+	if ai != aj {
+		return ai
+	}
+	if !ai {
+		return i < j
+	}
+	return betterPlan(pi.utils[i], pi.plans[i], pi.utils[j], pi.plans[j])
 }
 
 var _ Orderer = (*PI)(nil)

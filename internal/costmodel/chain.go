@@ -22,19 +22,20 @@ import (
 // utilities can increase as plans execute, so diminishing returns fails
 // and Streamer must not be used.
 type ChainCost struct {
-	cat  *lav.Catalog
-	prm  Params
-	aggs *aggCache // shared per-node aggregate snapshot; nil disables
+	prm Params
+	tab *chainTable
 }
 
-// NewChainCost returns the measure; Params.N must be positive. Contexts
-// share a measure-owned snapshot of per-node cost aggregates (see
-// snapshot.go).
+// NewChainCost returns the measure; Params.N must be positive.
+//
+// The measure reads cat once, here, into a coefficient table its contexts
+// share. cat must already hold every source the measure will see:
+// evaluating a plan over a source added to cat afterwards panics.
 func NewChainCost(cat *lav.Catalog, prm Params) *ChainCost {
 	if prm.N <= 0 {
 		panic(fmt.Sprintf("costmodel: Params.N = %g, want > 0", prm.N))
 	}
-	return &ChainCost{cat: cat, prm: prm, aggs: newAggCache(cat, prm, false)}
+	return &ChainCost{prm: prm, tab: newChainTable(cat, prm, false)}
 }
 
 // Name implements measure.Measure.
@@ -70,18 +71,17 @@ func (m *ChainCost) BucketOrder(int, []lav.SourceID) ([]lav.SourceID, bool) {
 
 // NewContext implements measure.Measure.
 func (m *ChainCost) NewContext() measure.Context {
-	var cache opCache
+	c := &chainCtx{m: m}
 	if m.prm.Caching {
-		cache = make(opCache)
+		c.cached = newOpCache(m.tab)
 	}
-	return &chainCtx{m: m, cached: cache, aggs: newAggFront(m.aggs)}
+	return c
 }
 
 type chainCtx struct {
 	measure.Base
 	m      *ChainCost
-	cached opCache   // nil when caching is off
-	aggs   *aggFront // nil selects the unhoisted legacy path
+	cached *opCache // nil when caching is off
 }
 
 func (c *chainCtx) Measure() measure.Measure { return c.m }
@@ -89,7 +89,10 @@ func (c *chainCtx) Measure() measure.Measure { return c.m }
 // Evaluate implements measure.Context.
 func (c *chainCtx) Evaluate(p *planspace.Plan) interval.Interval {
 	c.CountEval()
-	cost, _ := chainCost(c.m.cat, p, c.m.prm, c.cached, false, c.aggs)
+	if cost, _, ok := c.m.tab.concreteCost(p, c.cached); ok {
+		return interval.Point(-cost)
+	}
+	cost, _ := c.m.tab.intervalCost(p, c.cached)
 	return cost.Neg()
 }
 

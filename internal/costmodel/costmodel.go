@@ -16,9 +16,9 @@
 package costmodel
 
 import (
+	"fmt"
 	"sort"
 
-	"qporder/internal/abstraction"
 	"qporder/internal/interval"
 	"qporder/internal/lav"
 	"qporder/internal/planspace"
@@ -38,20 +38,37 @@ type Params struct {
 	Caching bool
 }
 
-// opKey identifies a source operation: position k accessing source s.
-type opKey struct {
-	pos int
-	src lav.SourceID
+// opCache is the set of cached source operations, a source operation
+// being position k accessing source s: bit k*nsrc+s of a position-major
+// bitmap over the measure's catalog. A nil cache means caching is off.
+type opCache struct {
+	tab  *chainTable
+	nsrc int
+	bits []uint64
 }
 
-// opCache is the set of cached source operations shared semantics across
-// the caching measures.
-type opCache map[opKey]bool
+func newOpCache(t *chainTable) *opCache { return &opCache{tab: t, nsrc: len(t.rows)} }
 
-func (c opCache) add(d *planspace.Plan) {
+func (c *opCache) add(d *planspace.Plan) {
 	for k, n := range d.Nodes {
-		c[opKey{k, n.Source()}] = true
+		s := n.Source()
+		c.tab.row(s) // rejects sources the table does not know
+		i := k*c.nsrc + int(s)
+		for i>>6 >= len(c.bits) {
+			c.bits = append(c.bits, 0)
+		}
+		c.bits[i>>6] |= 1 << (i & 63)
 	}
+}
+
+// has reports whether position k's access to s is cached; s must be in
+// the table (callers look its row up first).
+func (c *opCache) has(k int, s lav.SourceID) bool {
+	if c == nil {
+		return false
+	}
+	i := k*c.nsrc + int(s)
+	return i>>6 < len(c.bits) && c.bits[i>>6]&(1<<(i&63)) != 0
 }
 
 // structuralIndependent reports the sound caching-independence oracle:
@@ -112,105 +129,127 @@ func effectiveOverhead(st lav.Stats, failure bool) float64 {
 	return st.Overhead
 }
 
-// chainCost computes the cost interval of the semijoin chain for plan p
-// and, for the monetary measure, the final output-tuple interval.
-// cached may be nil (no caching). useFees selects monetary coefficients
-// (AccessFee/TupleFee) instead of time coefficients (Overhead/TransmitCost).
-// With a non-nil aggs front the loop-invariant per-node aggregates come
-// from the shared snapshot; the arithmetic is operation-for-operation the
-// same as the unhoisted path, so results are bit-identical either way.
-func chainCost(cat *lav.Catalog, p *planspace.Plan, prm Params, cached opCache,
-	useFees bool, aggs *aggFront) (cost, outLast interval.Interval) {
+// leafCoef is one source's row of the chain formula's coefficient table:
+// every catalog statistic the formula reads, in the form it reads them.
+type leafCoef struct {
+	tuples float64 // Tuples: the output of a position-0 access
+	tN     float64 // Tuples/Params.N: a later access's output factor
+	coef   float64 // TransmitCost (time) or TupleFee (monetary)
+	base   float64 // effective overhead (time) or AccessFee (monetary)
+}
+
+// chainTable is the immutable evaluation state shared by every context of
+// a chain-family measure: one leafCoef per catalog source, indexed by
+// lav.SourceID and read once, at construction.
+type chainTable struct {
+	invN float64 // 1/Params.N
+	rows []leafCoef
+}
+
+// newChainTable reads cat once. useFees selects the monetary coefficients
+// (TupleFee/AccessFee) instead of the time ones (TransmitCost/overhead).
+func newChainTable(cat *lav.Catalog, prm Params, useFees bool) *chainTable {
+	t := &chainTable{invN: 1 / prm.N, rows: make([]leafCoef, cat.Len())}
+	for i := range t.rows {
+		st := cat.Source(lav.SourceID(i)).Stats
+		r := leafCoef{tuples: st.Tuples, tN: st.Tuples / prm.N}
+		if useFees {
+			r.coef, r.base = st.TupleFee, st.AccessFee
+		} else {
+			r.coef, r.base = st.TransmitCost, effectiveOverhead(st, prm.Failure)
+		}
+		t.rows[i] = r
+	}
+	return t
+}
+
+// row returns source s's coefficients. A source the table does not hold
+// was added to the catalog after the measure was built, which breaks the
+// constructors' contract.
+func (t *chainTable) row(s lav.SourceID) *leafCoef {
+	if uint(s) >= uint(len(t.rows)) {
+		t.unknown(s)
+	}
+	return &t.rows[s]
+}
+
+func (t *chainTable) unknown(s lav.SourceID) {
+	panic(fmt.Sprintf("costmodel: source %d is not among the %d sources the measure was built over; "+
+		"the catalog grew after the measure was built (build measures over a complete catalog)", s, len(t.rows)))
+}
+
+// concreteCost is the chain formula on a plan with one source per
+// position; ok is false on any other plan. Every interval of
+// intervalCost is then a point, and each interval operation on points is
+// exactly the one float64 operation written here, in the same order, so
+// the results are bit-identical.
+func (t *chainTable) concreteCost(p *planspace.Plan, cached *opCache) (cost, outLast float64, ok bool) {
+	for k, n := range p.Nodes {
+		if len(n.Sources) != 1 {
+			return 0, 0, false
+		}
+		s := n.Sources[0]
+		r := t.row(s)
+		var cm float64
+		if !cached.has(k, s) {
+			if k == 0 {
+				cm = r.coef*r.tuples + r.base
+			} else {
+				cm = r.coef*(r.tN*outLast) + r.base
+			}
+		}
+		if k == 0 {
+			outLast = r.tuples
+		} else {
+			outLast = t.invN * (r.tuples * outLast)
+		}
+		cost += cm
+	}
+	return cost, outLast, true
+}
+
+// intervalCost returns the cost interval of the semijoin chain for plan
+// p and the chain's final output-size interval (the monetary
+// denominator); cached may be nil (no caching). Each position's cost term
+// is the hull of its members' terms, and its output size spans the
+// members' Tuples range.
+func (t *chainTable) intervalCost(p *planspace.Plan, cached *opCache) (cost, outLast interval.Interval) {
 	prevOut := interval.Point(0) // output of the previous position
 	total := interval.Point(0)
-	for k, node := range p.Nodes {
-		if aggs != nil {
-			ag := aggs.of(node)
-			var outIv interval.Interval
-			if k == 0 {
-				outIv = interval.New(ag.minN, ag.maxN)
-			} else {
-				outIv = interval.New(ag.minN, ag.maxN).Mul(prevOut).Scale(1 / prm.N)
-			}
-			var costIv interval.Interval
-			for i, m := range node.Sources {
-				var cm interval.Interval
-				if cached != nil && cached[opKey{k, m}] {
-					cm = interval.Point(0)
-				} else {
-					var outM interval.Interval
-					if k == 0 {
-						outM = interval.Point(ag.tuples[i])
-					} else {
-						outM = prevOut.Scale(ag.tN[i])
-					}
-					cm = outM.Scale(ag.coef[i]).Add(interval.Point(ag.base[i]))
-				}
-				if i == 0 {
-					costIv = cm
-				} else {
-					costIv = costIv.Hull(cm)
-				}
-			}
-			total = total.Add(costIv)
-			prevOut = outIv
-			continue
-		}
-		// Output-size interval of this position over all members.
-		minN, maxN := nRange(cat, node)
-		var outIv interval.Interval
-		if k == 0 {
-			outIv = interval.New(minN, maxN)
-		} else {
-			outIv = interval.New(minN, maxN).Mul(prevOut).Scale(1 / prm.N)
-		}
-		// Cost-contribution hull over members.
+	for k, n := range p.Nodes {
 		var costIv interval.Interval
-		for i, m := range node.Sources {
-			st := cat.Source(m).Stats
-			var cm interval.Interval
-			if cached != nil && cached[opKey{k, m}] {
-				cm = interval.Point(0)
-			} else {
-				var outM interval.Interval
-				if k == 0 {
-					outM = interval.Point(st.Tuples)
-				} else {
-					outM = prevOut.Scale(st.Tuples / prm.N)
+		var minN, maxN float64
+		for i, s := range n.Sources {
+			r := t.row(s)
+			cm := interval.Point(0)
+			if !cached.has(k, s) {
+				outM := interval.Point(r.tuples)
+				if k > 0 {
+					outM = prevOut.Scale(r.tN)
 				}
-				if useFees {
-					cm = outM.Scale(st.TupleFee).Add(interval.Point(st.AccessFee))
-				} else {
-					cm = outM.Scale(st.TransmitCost).
-						Add(interval.Point(effectiveOverhead(st, prm.Failure)))
-				}
+				cm = outM.Scale(r.coef).Add(interval.Point(r.base))
 			}
 			if i == 0 {
 				costIv = cm
-			} else {
-				costIv = costIv.Hull(cm)
+				minN, maxN = r.tuples, r.tuples
+				continue
 			}
+			costIv = costIv.Hull(cm)
+			if r.tuples < minN {
+				minN = r.tuples
+			}
+			if r.tuples > maxN {
+				maxN = r.tuples
+			}
+		}
+		outIv := interval.New(minN, maxN)
+		if k > 0 {
+			outIv = outIv.Mul(prevOut).Scale(t.invN)
 		}
 		total = total.Add(costIv)
 		prevOut = outIv
 	}
 	return total, prevOut
-}
-
-// nRange returns the min and max Tuples statistic over a node's members.
-func nRange(cat *lav.Catalog, n *abstraction.Node) (float64, float64) {
-	min := cat.Source(n.Sources[0]).Stats.Tuples
-	max := min
-	for _, id := range n.Sources[1:] {
-		t := cat.Source(id).Stats.Tuples
-		if t < min {
-			min = t
-		}
-		if t > max {
-			max = t
-		}
-	}
-	return min, max
 }
 
 // sortBestFirst returns sources ordered ascending by key (lowest cost

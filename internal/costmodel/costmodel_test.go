@@ -1,8 +1,10 @@
 package costmodel_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -327,5 +329,38 @@ func TestWeightedCombination(t *testing.T) {
 	})
 	if wc.DiminishingReturns() {
 		t.Error("combination with caching measure should not diminish")
+	}
+}
+
+// TestMeasureOverGrownCatalogFailsLoudly: the chain-family measures read
+// the catalog once, at construction. Evaluating or observing a plan over
+// a source added afterwards must fail with a message naming the contract,
+// not with a bare index-out-of-range panic.
+func TestMeasureOverGrownCatalogFailsLoudly(t *testing.T) {
+	for _, caching := range []bool{false, true} {
+		cat := lav.NewCatalog()
+		a := cat.MustAdd("a", nil, lav.Stats{Tuples: 10, TransmitCost: 1, Overhead: 1})
+		prm := costmodel.Params{N: 100, Caching: caching}
+		ms := []measure.Measure{costmodel.NewChainCost(cat, prm), costmodel.NewMonetaryPerTuple(cat, prm)}
+		late := cat.MustAdd("late", nil, lav.Stats{Tuples: 10, TransmitCost: 1, Overhead: 1})
+		leaves := abstraction.BuildLeaves([][]lav.SourceID{{a.ID}, {late.ID}})
+		p := planspace.New(leaves[0][0], leaves[1][0])
+		for _, m := range ms {
+			ctx := m.NewContext()
+			ops := map[string]func(){"Evaluate": func() { ctx.Evaluate(p) }}
+			if caching {
+				ops["Observe"] = func() { ctx.Observe(p) }
+			}
+			for op, f := range ops {
+				msg := func() (msg string) {
+					defer func() { msg = fmt.Sprint(recover()) }()
+					f()
+					return ""
+				}()
+				if !strings.Contains(msg, "catalog grew after the measure was built") {
+					t.Errorf("%s %s over a grown catalog: panic %q, want the catalog contract", m.Name(), op, msg)
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"fmt"
+	"math"
 
 	"qporder/internal/interval"
 	"qporder/internal/lav"
@@ -21,20 +22,23 @@ import (
 // heuristic and utility, which is what makes abstraction ineffective in
 // panels (j)-(l) of Figure 6.
 type MonetaryPerTuple struct {
-	cat  *lav.Catalog
-	prm  Params
-	aggs *aggCache // shared per-node aggregate snapshot; nil disables
+	prm Params
+	tab *chainTable
 }
 
 // NewMonetaryPerTuple returns the measure; Params.N must be positive.
 // Params.Failure is ignored (fees are charged whether or not retries
 // happen at the transport level).
+//
+// The measure reads cat once, here, into a coefficient table its contexts
+// share. cat must already hold every source the measure will see:
+// evaluating a plan over a source added to cat afterwards panics.
 func NewMonetaryPerTuple(cat *lav.Catalog, prm Params) *MonetaryPerTuple {
 	if prm.N <= 0 {
 		panic(fmt.Sprintf("costmodel: Params.N = %g, want > 0", prm.N))
 	}
 	prm.Failure = false
-	return &MonetaryPerTuple{cat: cat, prm: prm, aggs: newAggCache(cat, prm, true)}
+	return &MonetaryPerTuple{prm: prm, tab: newChainTable(cat, prm, true)}
 }
 
 // Name implements measure.Measure.
@@ -63,18 +67,17 @@ func (m *MonetaryPerTuple) BucketOrder(int, []lav.SourceID) ([]lav.SourceID, boo
 
 // NewContext implements measure.Measure.
 func (m *MonetaryPerTuple) NewContext() measure.Context {
-	var cache opCache
+	c := &monetaryCtx{m: m}
 	if m.prm.Caching {
-		cache = make(opCache)
+		c.cached = newOpCache(m.tab)
 	}
-	return &monetaryCtx{m: m, cached: cache, aggs: newAggFront(m.aggs)}
+	return c
 }
 
 type monetaryCtx struct {
 	measure.Base
 	m      *MonetaryPerTuple
-	cached opCache
-	aggs   *aggFront // nil selects the unhoisted legacy path
+	cached *opCache // nil when caching is off
 }
 
 func (c *monetaryCtx) Measure() measure.Measure { return c.m }
@@ -82,8 +85,17 @@ func (c *monetaryCtx) Measure() measure.Measure { return c.m }
 // Evaluate implements measure.Context.
 func (c *monetaryCtx) Evaluate(p *planspace.Plan) interval.Interval {
 	c.CountEval()
-	cost, out := chainCost(c.m.cat, p, c.m.prm, c.cached, true, c.aggs)
-	// out is strictly positive: Tuples >= 1 everywhere and N is finite.
+	if cost, out, ok := c.m.tab.concreteCost(p, c.cached); ok && out != 0 {
+		// cost.Div(out) on points: one multiply by the reciprocal, with
+		// Interval.Mul's math.Min/Max turning a NaN into math.NaN().
+		u := cost * (1 / out)
+		if u != u {
+			u = math.NaN()
+		}
+		return interval.Point(-u)
+	}
+	// out is positive unless it underflows (huge N), and Div then panics.
+	cost, out := c.m.tab.intervalCost(p, c.cached)
 	return cost.Div(out).Neg()
 }
 
